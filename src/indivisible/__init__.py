@@ -93,7 +93,6 @@ from .stochastic import (
     markov_compose,
     pairwise_joint,
     propagate,
-    validate_transition,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,8 @@ from . import embed as emb
 from . import oscillator as osc
 from . import serialize as ser
 from . import stochastic as stoch
-from .errors import InputFormatError, UnsupportedSizeError, ValidationError
+from .errors import (InputFormatError, UnsupportedSizeError, ValidationError,
+                     completeness_deviation)
 
 SCHEMA_VERSION = 1
 
@@ -50,10 +51,6 @@ def _law_registry(name: str, params: dict):
                            "expected harmonic, damped, cubic, or free")
 
 
-def _report_path(args) -> Path:
-    return Path(args.output)
-
-
 def _csv_path(args) -> Path:
     if args.csv is not None:
         return Path(args.csv)
@@ -61,8 +58,10 @@ def _csv_path(args) -> Path:
 
 
 def _emit(args, report: dict) -> None:
-    report["schema"] = SCHEMA_VERSION
-    ser.write_json(_report_path(args), report)
+    """Write ``report`` framed with the subcommand, the seed and the schema."""
+    report.update(command=args.subcommand, seed=args.seed,
+                  schema=SCHEMA_VERSION)
+    ser.write_json(args.output, report)
 
 
 def _status_line(text: str) -> None:
@@ -90,11 +89,9 @@ def _cmd_embed(args) -> int:
     ser.write_csv(_csv_path(args), ["t", "x", "y"],
                   zip(traj.times, traj.x, traj.y))
     _emit(args, {
-        "command": "embed",
         "law": spec["law"],
         "dt": args.dt,
         "duration": args.duration,
-        "seed": args.seed,
         "samples": len(traj),
         "final": {"t": float(traj.times[-1]), "x": float(traj.x[-1]),
                   "y": float(traj.y[-1])},
@@ -142,13 +139,11 @@ def _cmd_sh_sim(args) -> int:
             for k in range(len(traj)))
     ser.write_csv(_csv_path(args), header, rows)
     _emit(args, {
-        "command": "sh-sim",
         "n": h.n,
         "dt": args.dt,
         "duration": args.duration,
         "method": args.method,
         "stride": args.stride,
-        "seed": args.seed,
         "samples": len(traj),
         "energy": {"initial": float(energies[0]),
                    "max_drift": drift},
@@ -160,12 +155,20 @@ def _cmd_sh_sim(args) -> int:
     return 0
 
 
-def _select_pair(process: stoch.IndivisibleProcess, args):
-    if args.t is not None and args.tp is not None:
-        t0 = args.t0 if args.t0 is not None else min(process.conditioning)
-        return process.transition(args.t, t0), process.transition(args.tp, t0)
+def _stamps(process: stoch.IndivisibleProcess, args) -> tuple[float, list]:
+    """Source time (--t0, else the earliest conditioning time) and the sorted
+    target times stored from it."""
     t0 = args.t0 if args.t0 is not None else min(process.conditioning)
-    stamps = sorted(t for (t, s) in process.transitions if s == t0)
+    return t0, sorted(t for (t, s) in process.transitions if s == t0)
+
+
+def _select_pair(process: stoch.IndivisibleProcess, args):
+    if (args.t is None) != (args.tp is None):
+        raise InputFormatError("--t" if args.t is None else "--tp",
+                               "--t and --tp must be given together")
+    t0, stamps = _stamps(process, args)
+    if args.t is not None:
+        return process.transition(args.t, t0), process.transition(args.tp, t0)
     if len(stamps) < 2:
         raise InputFormatError(
             "transitions", f"need two transitions from t0={t0} to compare")
@@ -192,8 +195,7 @@ def _cmd_divisibility(args) -> int:
                   "lp_relaxation": stoch.LP_RELAXATION,
                   "column_sum": stoch.SUM_TOL}
     if args.all_pairs:
-        t0 = args.t0 if args.t0 is not None else min(process.conditioning)
-        stamps = sorted(t for (t, s) in process.transitions if s == t0)
+        t0, stamps = _stamps(process, args)
         pairs = [(hi, lo) for i, hi in enumerate(stamps) for lo in stamps[:i]]
 
         def check(pair):
@@ -205,8 +207,7 @@ def _cmd_divisibility(args) -> int:
             verdicts = list(pool.map(check, pairs))
         results = [_verdict_payload(v, hi, lo)
                    for (hi, lo), v in zip(pairs, verdicts)]
-        _emit(args, {"command": "divisibility", "t0": t0, "seed": args.seed,
-                     "pairs": results, "tolerances": tolerances})
+        _emit(args, {"t0": t0, "pairs": results, "tolerances": tolerances})
         statuses = {r["status"] for r in results}
         _status_line(f"divisibility: {len(results)} pairs, "
                      f"statuses {sorted(statuses)}")
@@ -214,9 +215,7 @@ def _cmd_divisibility(args) -> int:
 
     gamma_t, gamma_tp = _select_pair(process, args)
     verdict = stoch.divisibility_check(gamma_t, gamma_tp)
-    _emit(args, {"command": "divisibility", "t0": gamma_t.t0,
-                 "seed": args.seed,
-                 "tolerances": tolerances,
+    _emit(args, {"t0": gamma_t.t0, "tolerances": tolerances,
                  **_verdict_payload(verdict, gamma_t.t, gamma_tp.t)})
     _status_line(f"divisibility: {verdict.status}")
     return 2 if verdict.status == "indeterminate" else 0
@@ -231,8 +230,6 @@ def _cmd_correspond(args) -> int:
     row_dev = float(np.max(np.abs(gamma.matrix.sum(axis=1) - 1.0)))
     col_dev = float(np.max(np.abs(gamma.matrix.sum(axis=0) - 1.0)))
     _emit(args, {
-        "command": "correspond",
-        "seed": args.seed,
         "n": u.n,
         "t": u.t,
         "t0": u.t0,
@@ -261,8 +258,6 @@ def _cmd_unistochastic(args) -> int:
     result = corr.unistochastic_search(gamma, max_iters=args.max_iters,
                                        tol=args.tol, seed=args.seed)
     report = {
-        "command": "unistochastic",
-        "seed": args.seed,
         "status": result.status,
         "residual": result.residual,
         "unitary": None if result.unitary is None
@@ -287,16 +282,12 @@ def _cmd_dilate(args) -> int:
         phases = np.zeros((gamma.n, gamma.n))
     theta = corr.potential_from_transition(gamma, phases)
     kraus = corr.kraus_from_potential(theta)
-    identity_dev = float(np.max(np.abs(
-        sum(k.conj().T @ k for k in kraus.operators) - np.eye(gamma.n))))
+    identity_dev = completeness_deviation(*kraus.operators)
     u = corr.stinespring_dilate(kraus)
     marginal = corr.dilation_marginal(u, gamma.n)
     marginal_dev = float(np.max(np.abs(marginal - gamma.matrix)))
-    unitarity_dev = float(np.max(np.abs(
-        u.matrix.conj().T @ u.matrix - np.eye(u.n))))
+    unitarity_dev = completeness_deviation(u.matrix)
     _emit(args, {
-        "command": "dilate",
-        "seed": args.seed,
         "n": gamma.n,
         "dilation_dim": u.n,
         "unitary": ser.complex_matrix_payload(u.matrix),
@@ -321,8 +312,6 @@ def _cmd_extract_hamiltonian(args) -> int:
         evolution, args.t, args.dt)
     error = float(np.max(np.abs(recovered.matrix - h.matrix)))
     _emit(args, {
-        "command": "extract-hamiltonian",
-        "seed": args.seed,
         "n": h.n,
         "t": args.t,
         "dt": args.dt,
@@ -408,17 +397,40 @@ def build_parser() -> argparse.ArgumentParser:
 _CONFIG_ALIASES = {"T": "duration"}
 
 
-def _apply_config(args) -> None:
+def _config_value(action: argparse.Action, value, field: str):
+    """Check and convert a config entry as argparse does the flag it names."""
+    if action.nargs == 0:  # store_true
+        if isinstance(value, bool):
+            return value
+        raise InputFormatError(field, f"expected true or false, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise InputFormatError(field, f"expected a string or number, got {value!r}")
+    try:
+        converted = (action.type or str)(str(value))
+    except ValueError:
+        raise InputFormatError(
+            field, f"invalid {action.type.__name__} value {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise InputFormatError(
+            field, f"{converted!r} is not one of {list(action.choices)}")
+    return converted
+
+
+def _apply_config(parser: argparse.ArgumentParser, args) -> None:
     if args.config is None:
         return
     overrides = ser.load_json(args.config)
     if not isinstance(overrides, dict):
         raise InputFormatError("<config>", "config must be a JSON object")
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in subs.choices[args.subcommand]._actions}
     for key, value in overrides.items():
         attr = _CONFIG_ALIASES.get(key, key.replace("-", "_"))
-        if not hasattr(args, attr) or attr in ("handler", "subcommand", "config"):
+        if attr not in flags or attr in ("help", "config"):
             raise InputFormatError(f"<config>.{key}", "not a known flag")
-        setattr(args, attr, value)
+        setattr(args, attr,
+                _config_value(flags[attr], value, f"<config>.{key}"))
 
 
 def _structured_error(field: str, message: str) -> None:
@@ -431,7 +443,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(parser, args)
         return args.handler(args)
     except InputFormatError as exc:
         _structured_error(exc.field, exc.reason)

@@ -89,11 +89,10 @@ def c2_exp_rotation(theta: float) -> Mat2C:
     return Mat2C(math.cos(theta), math.sin(theta))
 
 
-def taylor_exp_rotation(theta: float, cutoff: float = EXP_TERM_CUTOFF,
-                        max_terms: int = EXP_MAX_TERMS) -> np.ndarray:
+def taylor_exp_rotation(theta: float, max_terms: int = EXP_MAX_TERMS) -> np.ndarray:
     """Evaluate exp(IMAG * theta) by direct Taylor summation of the matrix series.
 
-    Terms are added until the next term's magnitude falls below ``cutoff``
+    Terms are added until the next term's magnitude falls below EXP_TERM_CUTOFF
     (scaled by the running partial sum), capped at ``max_terms``.  Exists as an
     independent route to the closed form used by :func:`c2_exp_rotation`.
     """
@@ -102,7 +101,7 @@ def taylor_exp_rotation(theta: float, cutoff: float = EXP_TERM_CUTOFF,
     for k in range(1, max_terms + 1):
         term = (term @ IMAG) * (theta / k)
         acc += term
-        if np.max(np.abs(term)) < cutoff * max(1.0, np.max(np.abs(acc))):
+        if np.max(np.abs(term)) < EXP_TERM_CUTOFF * max(1.0, np.max(np.abs(acc))):
             break
     return acc
 

@@ -26,8 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NotRankOneError, UnsupportedSizeError, ValidationError
-from .oscillator import HermitianMatrix, StateVector
+from .errors import (NotRankOneError, UnsupportedSizeError, ValidationError,
+                     completeness_deviation, require_hermitian, square_matrix)
+from .oscillator import HERMITICITY_TOL, HermitianMatrix, StateVector
 from .stochastic import Distribution, TransitionMatrix
 
 UNITARITY_TOL = 1e-10
@@ -55,10 +56,8 @@ class UnitaryMatrix:
     t0: float = 0.0
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"expected square matrix, got shape {m.shape}")
-        dev = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+        m = square_matrix(self.matrix, complex)
+        dev = completeness_deviation(m)
         if dev > UNITARITY_TOL:
             raise ValidationError(
                 f"matrix is not unitary: max |U^dag U - 1| = {dev:.3e}",
@@ -78,9 +77,7 @@ class PotentialMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"expected square matrix, got shape {m.shape}")
+        m = square_matrix(self.matrix, complex)
         norms = np.linalg.norm(m, axis=0)
         bad = [j for j in range(m.shape[1]) if abs(norms[j] - 1.0) > COLUMN_NORM_TOL]
         if bad:
@@ -117,8 +114,7 @@ class KrausSet:
             if np.any(k[:, mask] != 0):
                 raise ValidationError(
                     f"operator {beta} has support outside column {beta}")
-        total = sum(k.conj().T @ k for k in ops)
-        dev = float(np.max(np.abs(total - np.eye(n))))
+        dev = completeness_deviation(*ops)
         if dev > KRAUS_IDENTITY_TOL:
             raise ValidationError(
                 f"completeness fails: max |sum K^dag K - 1| = {dev:.3e}",
@@ -139,12 +135,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"expected square matrix, got shape {m.shape}")
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > 1e-12:
-            raise ValidationError(f"not hermitian: deviation {dev:.3e}")
+        m = square_matrix(self.matrix, complex)
+        require_hermitian(m, HERMITICITY_TOL)
         eigs = np.linalg.eigvalsh(m)
         if float(eigs.min()) < EIGENVALUE_FLOOR:
             raise ValidationError(
@@ -300,14 +292,14 @@ def _phase_descent(r: np.ndarray, phases: np.ndarray, max_iters: int,
 def unistochastic_search(gamma: TransitionMatrix,
                          max_iters: int = SEARCH_MAX_ITERS,
                          tol: float = SEARCH_TOL, *,
-                         restarts: int = SEARCH_RESTARTS,
                          seed: int = SEARCH_SEED) -> UnistochasticResult:
     """Look for phases making sqrt(Gamma) with phases unitary.
 
     The first start is the zero phase matrix (so matrices that are already
     unistochastic "as printed", like permutations, come back verbatim); the
-    remaining restarts draw phases uniformly from [0, 2pi).  Moduli are fixed
-    by construction, so any accepted candidate reproduces Gamma exactly.
+    other SEARCH_RESTARTS - 1 starts draw phases uniformly from [0, 2pi).
+    Moduli are fixed by construction, so any accepted candidate reproduces
+    Gamma exactly.
     """
     g = gamma.matrix
     row_dev = _row_sum_deviation(g)
@@ -324,7 +316,7 @@ def unistochastic_search(gamma: TransitionMatrix,
     n = gamma.n
     rng = np.random.default_rng(seed)
     best = np.inf
-    for attempt in range(restarts):
+    for attempt in range(SEARCH_RESTARTS):
         if attempt == 0:
             start = np.zeros((n, n))
         else:

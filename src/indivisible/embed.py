@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 
-# Reversal-invariance sampling defaults: |F(x, y) - F(x, -y)| is probed on
+# Reversal-invariance sampling: |F(x, y) - F(x, -y)| is probed on
 # uniform draws from [-BOX, BOX]^2 and compared against INVARIANCE_TOL.
 INVARIANCE_TOL = 1e-12
 INVARIANCE_BOX = 10.0
@@ -274,17 +274,16 @@ def reverse_complex(times: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def check_time_reversal_invariance(ode: SecondOrderODE, samples: int,
-                                   seed: int = 0, box: float = INVARIANCE_BOX,
-                                   tol: float = INVARIANCE_TOL) -> tuple[bool, float]:
-    """Probe F(x, -y) = F(x, y) on uniform draws from [-box, box]^2.
+                                   seed: int = 0) -> tuple[bool, float]:
+    """Probe F(x, -y) = F(x, y) on uniform draws from [-INVARIANCE_BOX, INVARIANCE_BOX]^2.
 
-    Returns (invariant, max violation).  A sampled check: a law can evade it
-    on a measure-zero set, but for the polynomial laws used in practice the
-    verdict is exact.
+    Returns (invariant, max violation); invariant means a violation of at most
+    INVARIANCE_TOL.  A sampled check: a law can evade it on a measure-zero
+    set, but for the polynomial laws used in practice the verdict is exact.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        x, y = rng.uniform(-box, box, size=2)
+        x, y = rng.uniform(-INVARIANCE_BOX, INVARIANCE_BOX, size=2)
         worst = max(worst, float(abs(ode.f(x, -y) - ode.f(x, y))))
-    return worst <= tol, worst
+    return worst <= INVARIANCE_TOL, worst

@@ -1,8 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and the matrix checks shared across the package."""
 
 from __future__ import annotations
 
 from typing import Any
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -52,3 +54,26 @@ class InputFormatError(ValueError):
         super().__init__(f"{field}: {message}")
         self.field = field
         self.reason = message
+
+
+def square_matrix(arr, dtype) -> np.ndarray:
+    """A fresh 2-D square array of ``dtype``; ValidationError for any other shape."""
+    m = np.array(arr, dtype=dtype)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"expected square matrix, got shape {m.shape}")
+    return m
+
+
+def require_hermitian(m: np.ndarray, tol: float) -> None:
+    """ValidationError when max |M - M^dag| exceeds ``tol``."""
+    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if dev > tol:
+        raise ValidationError(
+            f"matrix is not hermitian: max |H - H^dag| = {dev:.3e} "
+            f"exceeds {tol:.0e}", deviation=dev)
+
+
+def completeness_deviation(*ops: np.ndarray) -> float:
+    """max |sum_k K_k^dag K_k - 1|; for a single operator, its unitarity defect."""
+    total = sum(k.conj().T @ k for k in ops)
+    return float(np.max(np.abs(total - np.eye(total.shape[0]))))

@@ -37,9 +37,8 @@ class FeasibilityResult:
     pivots: int
 
 
-def find_nonnegative_solution(a_ub, b_ub, *, max_pivots: int = MAX_PIVOTS,
-                              pivot_tol: float = PIVOT_TOL,
-                              zero_tol: float = ZERO_TOL) -> FeasibilityResult:
+def find_nonnegative_solution(a_ub, b_ub, *,
+                              max_pivots: int = MAX_PIVOTS) -> FeasibilityResult:
     """Search for x >= 0 with a_ub @ x <= b_ub."""
     a = np.array(a_ub, dtype=float)
     b = np.array(b_ub, dtype=float).reshape(-1)
@@ -78,13 +77,13 @@ def find_nonnegative_solution(a_ub, b_ub, *, max_pivots: int = MAX_PIVOTS,
     pivots = 0
     while True:
         reduced = t[m, :-1]
-        candidates = np.flatnonzero(reduced < -pivot_tol)
+        candidates = np.flatnonzero(reduced < -PIVOT_TOL)
         if len(candidates) == 0:
             break
         enter = int(candidates[0])  # Bland: smallest index
 
         col = t[:m, enter]
-        rows = np.flatnonzero(col > pivot_tol)
+        rows = np.flatnonzero(col > PIVOT_TOL)
         if len(rows) == 0:
             # Cannot happen for a bounded-below phase-1 objective unless the
             # arithmetic has broken down.
@@ -105,7 +104,7 @@ def find_nonnegative_solution(a_ub, b_ub, *, max_pivots: int = MAX_PIVOTS,
         pivots += 1
 
     objective = float(-t[m, -1])
-    if objective > zero_tol:
+    if objective > ZERO_TOL:
         return FeasibilityResult("infeasible", None, objective, pivots)
 
     x = np.zeros(n)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_hermitian, square_matrix
 
 HERMITICITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
@@ -44,28 +44,14 @@ class HermitianMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-        dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if dev > HERMITICITY_TOL:
-            raise ValidationError(
-                f"matrix is not hermitian: max |H - H^dag| = {dev:.3e} "
-                f"exceeds {HERMITICITY_TOL:.0e}", deviation=dev)
+        m = square_matrix(self.matrix, complex)
+        require_hermitian(m, HERMITICITY_TOL)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def from_array(cls, arr, symmetrize: bool = False) -> "HermitianMatrix":
-        """Wrap ``arr``; with symmetrize=True, project onto (H + H^dag)/2 first."""
-        m = np.array(arr, dtype=complex)
-        if symmetrize:
-            m = (m + m.conj().T) / 2.0
-        return cls(m)
 
 
 @dataclass(frozen=True)

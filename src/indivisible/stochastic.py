@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, square_matrix
 from .lp import MAX_PIVOTS, find_nonnegative_solution
 
 SUM_TOL = 1e-12          # distributions and matrix columns must sum to 1 within this
@@ -71,32 +71,23 @@ class TransitionMatrix:
     t0: float = 0.0
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"expected square matrix, got shape {m.shape}")
-        bad_neg = [j for j in range(m.shape[1])
-                   if float(m[:, j].min()) < -NEGATIVE_CLAMP]
+        m = square_matrix(self.matrix, float)
+        bad_neg = np.flatnonzero((m < -NEGATIVE_CLAMP).any(axis=0)).tolist()
         m = np.where(m < 0.0, np.where(m >= -NEGATIVE_CLAMP, 0.0, m), m)
         sums = m.sum(axis=0)
-        bad_sum = [j for j in range(m.shape[1])
-                   if abs(float(sums[j]) - 1.0) > SUM_TOL]
+        bad_sum = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL).tolist()
         if bad_neg or bad_sum:
             raise ValidationError(
                 "matrix is not column-stochastic; offending columns "
                 f"(negative entries: {bad_neg}, bad sums: {bad_sum})",
                 negative_columns=bad_neg, sum_columns=bad_sum,
-                column_sums=[float(s) for s in sums])
+                column_sums=sums.tolist())
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-
-def validate_transition(matrix, t: float, t0: float) -> TransitionMatrix:
-    """Construct a TransitionMatrix; ValidationError carries the column report."""
-    return TransitionMatrix(matrix, t=t, t0=t0)
 
 
 @dataclass(frozen=True)
@@ -208,13 +199,12 @@ class DivisibilityVerdict:
 
 
 def divisibility_check(gamma_t: TransitionMatrix, gamma_tp: TransitionMatrix,
-                       *, relaxation: float = LP_RELAXATION,
-                       max_pivots: int = MAX_PIVOTS) -> DivisibilityVerdict:
+                       *, max_pivots: int = MAX_PIVOTS) -> DivisibilityVerdict:
     """Decide divisibility of gamma_t through gamma_tp (shared source time).
 
     The entries of M form an N^2-variable feasibility problem: M >= 0,
     unit column sums, and M @ gamma_tp = gamma_t, with every equality relaxed
-    to paired inequalities at ``relaxation``.  A feasible point is column
+    to paired inequalities at LP_RELAXATION.  A feasible point is column
     renormalized and returned as the witness; infeasibility is definitive for
     the relaxed problem; hitting the pivot cap is reported as indeterminate,
     never coerced into either answer.
@@ -232,29 +222,16 @@ def divisibility_check(gamma_t: TransitionMatrix, gamma_tp: TransitionMatrix,
 
     gp = gamma_tp.matrix
     gt = gamma_t.matrix
-    # Variables m_ij at flat index i*n + j.
-    n_vars = n * n
-    rows_a = []
-    rows_b = []
+    # Variables m_ij at flat index i*n + j.  Equality rows: sum_k m_ik gp_kj
+    # for each (i, j), then sum_i m_ij for each column j.  Each becomes the
+    # pair  row <= rhs + relaxation,  -row <= -(rhs - relaxation).
+    eq = np.vstack([np.kron(np.eye(n), gp.T), np.tile(np.eye(n), n)])
+    rhs = np.concatenate([gt.reshape(-1), np.ones(n)])
+    a_ub = np.stack([eq, -eq], axis=1).reshape(-1, n * n)
+    b_ub = np.stack([rhs + LP_RELAXATION, -(rhs - LP_RELAXATION)],
+                    axis=1).reshape(-1)
 
-    def add_eq(coeffs: np.ndarray, rhs: float):
-        rows_a.append(coeffs)
-        rows_b.append(rhs + relaxation)
-        rows_a.append(-coeffs)
-        rows_b.append(-(rhs - relaxation))
-
-    for i in range(n):
-        for j in range(n):
-            coeffs = np.zeros(n_vars)
-            coeffs[i * n:(i + 1) * n] = gp[:, j]  # sum_k m_ik gp_kj
-            add_eq(coeffs, float(gt[i, j]))
-    for j in range(n):
-        coeffs = np.zeros(n_vars)
-        coeffs[j::n] = 1.0  # sum_i m_ij
-        add_eq(coeffs, 1.0)
-
-    result = find_nonnegative_solution(
-        np.array(rows_a), np.array(rows_b), max_pivots=max_pivots)
+    result = find_nonnegative_solution(a_ub, b_ub, max_pivots=max_pivots)
 
     if result.status == "iteration_limit":
         return DivisibilityVerdict(
@@ -267,7 +244,7 @@ def divisibility_check(gamma_t: TransitionMatrix, gamma_tp: TransitionMatrix,
             "indivisible", certificate=(
                 "no column-stochastic M satisfies M @ Gamma(t'<-t0) = "
                 f"Gamma(t<-t0): minimum total constraint violation "
-                f"{result.infeasibility:.6e} at relaxation {relaxation:.0e}"),
+                f"{result.infeasibility:.6e} at relaxation {LP_RELAXATION:.0e}"),
             residual=result.infeasibility)
 
     m = result.x.reshape(n, n)

@@ -73,6 +73,36 @@ def exact_divisible_2x2(gamma_t: np.ndarray, gamma_tp: np.ndarray,
     return bool(-eps <= a <= 1 + eps and -eps <= b <= 1 + eps)
 
 
+def divisibility_constraints(gamma_t: np.ndarray, gamma_tp: np.ndarray,
+                             relaxation: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) of the relaxed divisibility LP, written out from its definition.
+
+    Unknowns m_ik sit at flat index i*n + k.  For each (i, j) in row-major
+    order, (M gamma_tp)_ij = sum_k m_ik gamma_tp[k, j] = gamma_t[i, j] becomes
+    the pair  row <= rhs + relaxation,  -row <= -(rhs - relaxation);  then
+    each column sum sum_i m_ij = 1 becomes a pair the same way.
+    """
+    n = gamma_t.shape[0]
+    rows, rhs = [], []
+
+    def pair(coeffs, value):
+        rows.extend([coeffs, -coeffs])
+        rhs.extend([value + relaxation, -(value - relaxation)])
+
+    for i in range(n):
+        for j in range(n):
+            coeffs = np.zeros(n * n)
+            for k in range(n):
+                coeffs[i * n + k] = gamma_tp[k, j]
+            pair(coeffs, gamma_t[i, j])
+    for j in range(n):
+        coeffs = np.zeros(n * n)
+        for i in range(n):
+            coeffs[i * n + j] = 1.0
+        pair(coeffs, 1.0)
+    return np.array(rows), np.array(rhs)
+
+
 def qubit_rotation_gamma(theta: float) -> np.ndarray:
     """Squared moduli of exp(-i * theta * sigma_x): the working 2x2 family."""
     c, s = np.cos(theta) ** 2, np.sin(theta) ** 2

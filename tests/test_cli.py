@@ -207,12 +207,83 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert err["error"]["field"] == "<config>.steps"
 
 
+def test_config_values_are_converted_like_flags(tmp_path, qubit_file):
+    inp = write(tmp_path / "law.json", {"law": "free", "x0": 0.0, "v0": 1.0})
+    cfg = write(tmp_path / "cfg.json", {"dt": "0.01", "T": 1})
+    out = tmp_path / "r.json"
+    assert run(["embed", "--input", inp, "--output", out, "--config", cfg]) == 0
+    report = json.loads(out.read_text())
+    assert (report["dt"], report["duration"]) == (0.01, 1.0)
+    cfg = write(tmp_path / "jobs.json", {"jobs": "2", "all-pairs": True})
+    assert run(["divisibility", "--input", qubit_file, "--output", out,
+                "--config", cfg]) == 0
+    assert len(json.loads(out.read_text())["pairs"]) == 1
+
+
+@pytest.mark.parametrize("command, entry", [
+    ("embed", {"dt": "fast"}),
+    ("embed", {"dt": True}),
+    ("embed", {"output": ["r.json"]}),
+    ("sh-sim", {"method": "euler"}),
+    ("sh-sim", {"stride": 2.5}),
+    ("divisibility", {"all-pairs": 1}),
+])
+def test_config_rejects_values_the_flag_would(tmp_path, capsys, qubit_file,
+                                              command, entry):
+    inp = qubit_file if command == "divisibility" else write(
+        tmp_path / "in.json",
+        {"law": "free"} if command == "embed"
+        else {"n": 1, "re": [[1.0]], "im": [[0.0]]})
+    cfg = write(tmp_path / "cfg.json", entry)
+    code = run([command, "--input", inp, "--output", tmp_path / "r.json",
+                "--config", cfg])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "<config>." + next(iter(entry))
+
+
+@pytest.mark.parametrize("flag, missing", [("--t", "--tp"), ("--tp", "--t")])
+def test_divisibility_needs_t_and_tp_together(tmp_path, capsys, qubit_file,
+                                              flag, missing):
+    code = run(["divisibility", "--input", qubit_file,
+                "--output", tmp_path / "div.json", flag, str(math.pi / 2.0)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == missing
+    assert not (tmp_path / "div.json").exists()
+
+
 def test_malformed_matrix_exits_1(tmp_path, capsys):
     bad = write(tmp_path / "bad.json", {"matrix": [[0.5, 0.5], [0.5, "x"]]})
     code = run(["unistochastic", "--input", bad, "--output", tmp_path / "o.json"])
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["field"] == "matrix[1][1]"
+
+
+HERMITIAN_2 = {"n": 2, "re": [[0.3, 0.1], [0.1, -0.2]],
+               "im": [[0.0, -0.4], [0.4, 0.0]]}
+FRAMING_CASES = {
+    "embed": ({"law": "free", "x0": 0.0, "v0": 1.0}, ["--T", "0.01"]),
+    "sh-sim": (HERMITIAN_2, ["--T", "0.01", "--stride", "10"]),
+    "divisibility": (None, []),
+    "correspond": ({"re": [[1.0, 0.0], [0.0, 1.0]],
+                    "im": [[0.0, 0.0], [0.0, 0.0]]}, []),
+    "unistochastic": ({"matrix": [[0.5, 0.5], [0.5, 0.5]]}, []),
+    "dilate": ({"matrix": [[0.5, 0.5], [0.5, 0.5]]}, []),
+    "extract-hamiltonian": (HERMITIAN_2, []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FRAMING_CASES))
+def test_every_report_is_framed(tmp_path, qubit_file, command):
+    payload, flags = FRAMING_CASES[command]
+    inp = qubit_file if payload is None else write(tmp_path / "in.json", payload)
+    out = tmp_path / "report.json"
+    assert run([command, "--input", inp, "--output", out, "--seed", "7",
+                *flags]) == 0
+    report = json.loads(out.read_text())
+    assert (report["schema"], report["command"], report["seed"]) == (1, command, 7)
 
 
 def test_reruns_are_byte_identical(tmp_path, qubit_file):

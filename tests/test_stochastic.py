@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from indivisible import stochastic
 from indivisible.errors import ValidationError
 from indivisible.stochastic import (
+    LP_RELAXATION,
     WITNESS_RESIDUAL_TOL,
     Distribution,
     IndivisibleProcess,
@@ -13,9 +15,9 @@ from indivisible.stochastic import (
     markov_compose,
     pairwise_joint,
     propagate,
-    validate_transition,
 )
 from oracles import (
+    divisibility_constraints,
     exact_divisible_2x2,
     grid_divisible,
     qubit_rotation_gamma,
@@ -44,6 +46,16 @@ def test_transition_matrix_validation_names_the_column():
     with pytest.raises(ValidationError) as err:
         TransitionMatrix(np.array([[1.1, 0.5], [-0.1, 0.5]]))
     assert "negative" in str(err.value).lower()
+    # column 0 holds a negative entry but sums to 1; column 2 sums to 0.9
+    mixed = np.array([[1.1, 0.5, 0.3], [-0.1, 0.5, 0.3], [0.0, 0.0, 0.3]])
+    with pytest.raises(ValidationError) as err:
+        TransitionMatrix(mixed)
+    details = err.value.details
+    assert details["negative_columns"] == [0]
+    assert details["sum_columns"] == [2]
+    assert details["column_sums"] == pytest.approx([1.0, 1.0, 0.9], abs=1e-15)
+    assert all(type(j) is int for j in details["negative_columns"]
+               + details["sum_columns"])
 
 
 def test_transition_matrix_requires_square():
@@ -52,7 +64,7 @@ def test_transition_matrix_requires_square():
 
 
 def test_validate_transition_stamps():
-    tm = validate_transition(np.eye(3), t=2.0, t0=0.5)
+    tm = TransitionMatrix(np.eye(3), t=2.0, t0=0.5)
     assert (tm.t, tm.t0) == (2.0, 0.5)
 
 
@@ -176,6 +188,29 @@ def test_check_requires_matching_sizes():
     g2 = TransitionMatrix(np.eye(3), t=2.0, t0=0.0)
     with pytest.raises(ValidationError):
         divisibility_check(g2, g1)
+
+
+def test_lp_layout_follows_the_definition(monkeypatch):
+    rng = np.random.default_rng(6)
+    g1 = random_column_stochastic(3, rng)
+    g1[1, 2] = 0.0  # a zero coefficient keeps its sign through the layout
+    g1[:, 2] /= g1[:, 2].sum()
+    g2 = random_column_stochastic(3, rng) @ g1
+    seen = []
+
+    def capture(a_ub, b_ub, **kwargs):
+        seen.append((a_ub, b_ub))
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(stochastic, "find_nonnegative_solution", capture)
+    with pytest.raises(RuntimeError, match="captured"):
+        divisibility_check(TransitionMatrix(g2, t=2.0, t0=0.0),
+                           TransitionMatrix(g1, t=1.0, t0=0.0))
+    (a_ub, b_ub), = seen
+    want_a, want_b = divisibility_constraints(g2, g1, LP_RELAXATION)
+    assert a_ub.shape == want_a.shape == (24, 9)
+    assert a_ub.tobytes() == want_a.tobytes()
+    assert b_ub.tobytes() == want_b.tobytes()
 
 
 def test_pivot_cap_yields_indeterminate():
