@@ -56,11 +56,24 @@ class InputFormatError(ValueError):
         self.reason = message
 
 
+def require_finite(arr: np.ndarray, what: str) -> None:
+    """ValidationError when ``arr`` holds a NaN or an infinity.
+
+    NaN fails every comparison, so range and sum checks downstream would
+    silently pass it.
+    """
+    if not np.isfinite(arr).all():
+        bad = np.argwhere(~np.isfinite(arr))[0].tolist()
+        raise ValidationError(f"{what} has a non-finite entry at {bad}",
+                              index=bad)
+
+
 def square_matrix(arr, dtype) -> np.ndarray:
-    """A fresh 2-D square array of ``dtype``; ValidationError for any other shape."""
+    """A fresh, finite 2-D square array of ``dtype``; ValidationError otherwise."""
     m = np.array(arr, dtype=dtype)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected square matrix, got shape {m.shape}")
+    require_finite(m, "matrix")
     return m
 
 

@@ -8,7 +8,9 @@ there need not exist any column-stochastic M with
     M @ Gamma(t'<-t0) = Gamma(t<-t0)
 
 even when both endpoints are perfectly lawful.  ``divisibility_check`` decides
-that question as a linear feasibility problem over the entries of M.
+that question directly from the unique candidate M = Gamma(t) Gamma(t')^-1
+when Gamma(t') is invertible, and otherwise as a linear feasibility problem
+over the entries of M.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, square_matrix
+from .errors import ValidationError, require_finite, square_matrix
 from .lp import MAX_PIVOTS, find_nonnegative_solution
 
 SUM_TOL = 1e-12          # distributions and matrix columns must sum to 1 within this
@@ -48,6 +50,7 @@ class Distribution:
         p = np.array(self.p, dtype=float).reshape(-1)
         if p.size == 0:
             raise ValidationError("empty distribution")
+        require_finite(p, "distribution")
         p = _clamp_small_negatives(p, "distribution")
         total = float(p.sum())
         if abs(total - 1.0) > SUM_TOL:
@@ -188,8 +191,10 @@ class DivisibilityVerdict:
     status      "divisible" | "indivisible" | "indeterminate"
     witness     the connecting matrix M, stamped (t <- t'), when divisible
     certificate human-readable grounds, set for indivisible/indeterminate
-    residual    max |M Gamma' - Gamma| for a witness; for the other verdicts,
-                the phase-1 infeasibility measure at stop
+    residual    max |M Gamma' - Gamma| of the matrix the verdict rests on:
+                the witness when divisible, the unique M when the direct
+                route finds it indivisible; for the LP's indivisible and
+                indeterminate verdicts, the phase-1 infeasibility at stop
     """
 
     status: str
@@ -198,16 +203,77 @@ class DivisibilityVerdict:
     residual: float = 0.0
 
 
+def _direct_verdict(gamma_t: TransitionMatrix,
+                    gamma_tp: TransitionMatrix) -> DivisibilityVerdict | None:
+    """Verdict from the unique M = Gamma(t) Gamma(t')^-1, or None for the LP.
+
+    Every point of the relaxed LP is (Gamma(t) + E) Gamma(t')^-1 with
+    |E| <= LP_RELAXATION entrywise, and the computed M is (Gamma(t) + R)
+    Gamma(t')^-1 with R its residual, so the two differ by at most
+    (LP_RELAXATION + max |R|) ||Gamma(t')^-1||_1 in every entry; the norm is
+    the largest column sum of |Gamma(t')^-1|.  An entry of M below ten times
+    max(LP_RELAXATION, max |R|) ||Gamma(t')^-1||_1 rules out every
+    nonnegative point, and the LP would find the pair indivisible too.  A
+    nonnegative M is the witness, once the row with the largest minimum is
+    rebuilt from the others: the true M has unit column sums exactly, because
+    1^T Gamma(t) = 1^T Gamma(t') = 1^T.  None is returned for a singular
+    Gamma(t'), for entries too close to zero to call either way, and for a
+    witness the usual gates refuse.
+    """
+    n = gamma_t.n
+    gp, gt = gamma_tp.matrix, gamma_t.matrix
+    try:
+        # Solving, rather than multiplying by the inverse, keeps the residual
+        # near machine epsilon even when Gamma(t') is badly conditioned.  The
+        # same factorization yields Gamma(t')^-T for the margin.
+        sol = np.linalg.solve(gp.T, np.hstack([gt.T, np.eye(n)]))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(sol).all():
+        return None
+    # Columns of Gamma(t') sum to 1, so ||Gamma(t')^-1||_1 is its condition
+    # number; from 1/eps on, Gamma(t') is singular to working precision and
+    # M is not unique.
+    inv_norm = float(np.abs(sol[:, n:]).sum(axis=1).max())
+    if inv_norm * np.finfo(float).eps >= 1.0:
+        return None
+    m = sol[:, :n].T.copy()
+    residual = float(np.max(np.abs(m @ gp - gt)))
+    margin = 10.0 * max(LP_RELAXATION, residual) * inv_norm
+    i, j = np.unravel_index(np.argmin(m), m.shape)
+    if m[i, j] < -margin:
+        return DivisibilityVerdict(
+            "indivisible", certificate=(
+                "Gamma(t'<-t0) is invertible and the unique M = Gamma(t<-t0) "
+                f"Gamma(t'<-t0)^-1 has M[{i}, {j}] = {m[i, j]:.6e}, below "
+                f"-{margin:.6e} = -10 * max({LP_RELAXATION:.0e}, residual) * "
+                "||Gamma(t'<-t0)^-1||_1; no column-stochastic M exists"),
+            residual=residual)
+    row = int(np.argmax(m.min(axis=1)))
+    m[row] = 1.0 - np.delete(m, row, axis=0).sum(axis=0)
+    try:
+        witness = TransitionMatrix(m, t=gamma_t.t, t0=gamma_tp.t)
+    except ValidationError:
+        return None
+    residual = float(np.max(np.abs(witness.matrix @ gp - gt)))
+    if residual > WITNESS_RESIDUAL_TOL:
+        return None
+    return DivisibilityVerdict("divisible", witness=witness, residual=residual)
+
+
 def divisibility_check(gamma_t: TransitionMatrix, gamma_tp: TransitionMatrix,
                        *, max_pivots: int = MAX_PIVOTS) -> DivisibilityVerdict:
     """Decide divisibility of gamma_t through gamma_tp (shared source time).
 
-    The entries of M form an N^2-variable feasibility problem: M >= 0,
-    unit column sums, and M @ gamma_tp = gamma_t, with every equality relaxed
-    to paired inequalities at LP_RELAXATION.  A feasible point is column
-    renormalized and returned as the witness; infeasibility is definitive for
-    the relaxed problem; hitting the pivot cap is reported as indeterminate,
-    never coerced into either answer.
+    The direct route comes first: when Gamma(t') is invertible, the unique
+    M = Gamma(t) Gamma(t')^-1 settles most pairs (``_direct_verdict``).  The
+    rest go to the LP, where the entries of M form an N^2-variable
+    feasibility problem: M >= 0, unit column sums, and M @ gamma_tp =
+    gamma_t, with every equality relaxed to paired inequalities at
+    LP_RELAXATION.  A feasible point is column renormalized and returned as
+    the witness; infeasibility is definitive for the relaxed problem; hitting
+    the pivot cap is reported as indeterminate, never coerced into either
+    answer.
     """
     if gamma_t.n != gamma_tp.n:
         raise ValidationError(
@@ -215,11 +281,11 @@ def divisibility_check(gamma_t: TransitionMatrix, gamma_tp: TransitionMatrix,
     if gamma_t.t0 != gamma_tp.t0:
         raise ValidationError(
             f"matrices must share the source time: {gamma_t.t0} vs {gamma_tp.t0}")
-    n = gamma_t.n
-    if n == 1:
-        witness = TransitionMatrix(np.eye(1), t=gamma_t.t, t0=gamma_tp.t)
-        return DivisibilityVerdict("divisible", witness=witness, residual=0.0)
+    direct = _direct_verdict(gamma_t, gamma_tp)
+    if direct is not None:
+        return direct
 
+    n = gamma_t.n
     gp = gamma_tp.matrix
     gt = gamma_t.matrix
     # Variables m_ij at flat index i*n + j.  Equality rows: sum_k m_ik gp_kj

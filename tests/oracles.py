@@ -103,6 +103,15 @@ def divisibility_constraints(gamma_t: np.ndarray, gamma_tp: np.ndarray,
     return np.array(rows), np.array(rhs)
 
 
+def direct_entry_below_margin(gamma_t: np.ndarray, gamma_tp: np.ndarray,
+                              i: int, j: int, relaxation: float) -> bool:
+    """Entry (i, j) of Gamma(t) Gamma(t')^-1 lies below -10 * relaxation *
+    ||Gamma(t')^-1||_1, so no point of the relaxed LP is nonnegative there."""
+    inv = np.linalg.inv(gamma_tp)
+    margin = 10.0 * relaxation * np.abs(inv).sum(axis=0).max()
+    return bool((gamma_t @ inv)[i, j] < -margin)
+
+
 def qubit_rotation_gamma(theta: float) -> np.ndarray:
     """Squared moduli of exp(-i * theta * sigma_x): the working 2x2 family."""
     c, s = np.cos(theta) ** 2, np.sin(theta) ** 2

@@ -261,6 +261,33 @@ def test_malformed_matrix_exits_1(tmp_path, capsys):
     assert err["error"]["field"] == "matrix[1][1]"
 
 
+# Raw JSON text: the NaN and Infinity literals that json.loads accepts.
+PROCESS_TEXT = ('{"n": 2, "targets": [0.0, 1.0, 2.0], "conditioning": [0.0], '
+                '"transitions": [{"t": 1.0, "t0": 0.0, "matrix": %s}, '
+                '{"t": 2.0, "t0": 0.0, "matrix": [[0.0, 1.0], [1.0, 0.0]]}], '
+                '"initial": %s}')
+NON_FINITE_CASES = {
+    "divisibility": PROCESS_TEXT % ("[[NaN, 0.5], [NaN, 0.5]]", "[1.0, 0.0]"),
+    "divisibility-initial": PROCESS_TEXT % ("[[1.0, 0.0], [0.0, 1.0]]",
+                                            "[-Infinity, 1.0]"),
+    "dilate": '{"matrix": [[NaN, 0.5], [NaN, 0.5]]}',
+    "correspond": '{"re": [[NaN, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_input_exits_1(tmp_path, capsys, case):
+    inp = tmp_path / "in.json"
+    inp.write_text(NON_FINITE_CASES[case])
+    out = tmp_path / "report.json"
+    code = run([case.split("-")[0], "--input", inp, "--output", out])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "<validation>"
+    assert "non-finite" in err["error"]["message"]
+    assert not out.exists()
+
+
 HERMITIAN_2 = {"n": 2, "re": [[0.3, 0.1], [0.1, -0.2]],
                "im": [[0.0, -0.4], [0.4, 0.0]]}
 FRAMING_CASES = {

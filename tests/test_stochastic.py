@@ -1,10 +1,13 @@
 import math
+import re
+import time
 
 import numpy as np
 import pytest
 
 from indivisible import stochastic
 from indivisible.errors import ValidationError
+from indivisible.lp import find_nonnegative_solution
 from indivisible.stochastic import (
     LP_RELAXATION,
     WITNESS_RESIDUAL_TOL,
@@ -17,6 +20,7 @@ from indivisible.stochastic import (
     propagate,
 )
 from oracles import (
+    direct_entry_below_margin,
     divisibility_constraints,
     exact_divisible_2x2,
     grid_divisible,
@@ -195,6 +199,7 @@ def test_lp_layout_follows_the_definition(monkeypatch):
     g1 = random_column_stochastic(3, rng)
     g1[1, 2] = 0.0  # a zero coefficient keeps its sign through the layout
     g1[:, 2] /= g1[:, 2].sum()
+    g1[:, 1] = g1[:, 2]  # singular, so the direct route leaves it to the LP
     g2 = random_column_stochastic(3, rng) @ g1
     seen = []
 
@@ -215,7 +220,9 @@ def test_lp_layout_follows_the_definition(monkeypatch):
 
 def test_pivot_cap_yields_indeterminate():
     rng = np.random.default_rng(4)
-    g1 = TransitionMatrix(random_column_stochastic(3, rng), t=1.0, t0=0.0)
+    g1 = random_column_stochastic(3, rng)
+    g1[:, 1] = g1[:, 0]  # singular, so the direct route leaves it to the LP
+    g1 = TransitionMatrix(g1, t=1.0, t0=0.0)
     g2 = TransitionMatrix(random_column_stochastic(3, rng) @ g1.matrix,
                           t=2.0, t0=0.0)
     verdict = divisibility_check(g2, g1, max_pivots=0)
@@ -248,3 +255,80 @@ def test_lp_verdicts_agree_with_both_2x2_oracles():
         assert verdict.status == "divisible"
         assert grid_divisible(gt, g1)
         assert exact_divisible_2x2(gt, g1) in (True, None)
+
+
+def count_lp_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find_nonnegative_solution(*args, **kwargs)
+
+    monkeypatch.setattr(stochastic, "find_nonnegative_solution", counted)
+    return calls
+
+
+def test_direct_route_agrees_with_the_lp(monkeypatch):
+    """Both directions of composite pairs: M @ g1 through g1 is divisible,
+    g1 through M @ g1 almost never is.  Every verdict comes from the direct
+    route and matches the LP's answer on the same constraints."""
+    calls = count_lp_calls(monkeypatch)
+    rng = np.random.default_rng(7)
+    seen = set()
+    for n in range(2, 9):
+        for _ in range(4):
+            g1 = random_column_stochastic(n, rng)
+            g2 = random_column_stochastic(n, rng) @ g1
+            for gt, gtp in ((g2, g1), (g1, g2)):
+                verdict = divisibility_check(TransitionMatrix(gt, t=2.0, t0=0.0),
+                                             TransitionMatrix(gtp, t=1.0, t0=0.0))
+                lp = find_nonnegative_solution(
+                    *divisibility_constraints(gt, gtp, LP_RELAXATION))
+                want = {"feasible": "divisible",
+                        "infeasible": "indivisible"}[lp.status]
+                assert verdict.status == want
+                seen.add(want)
+                if want == "divisible":
+                    assert verdict.residual <= WITNESS_RESIDUAL_TOL
+                    continue
+                i, j = map(int, re.search(r"M\[(\d+), (\d+)\]",
+                                          verdict.certificate).groups())
+                assert direct_entry_below_margin(gt, gtp, i, j, LP_RELAXATION)
+    assert seen == {"divisible", "indivisible"}
+    assert calls == []
+
+
+def test_long_markov_chain_is_divisible_at_every_pair():
+    """10 states, 8 times: Gamma(t') reaches condition number 2.6e12, where
+    the LP stalled at its pivot cap or missed the witness gate on 4 of 28
+    pairs and took minutes."""
+    rng = np.random.default_rng(1)
+    acc, chain = np.eye(10), []
+    for k in range(8):
+        acc = random_column_stochastic(10, rng) @ acc
+        chain.append(TransitionMatrix(acc, t=float(k + 1), t0=0.0))
+    start = time.perf_counter()
+    verdicts = [divisibility_check(hi, lo)
+                for i, hi in enumerate(chain) for lo in chain[:i]]
+    elapsed = time.perf_counter() - start
+    assert len(verdicts) == 28
+    assert [v.status for v in verdicts] == ["divisible"] * 28
+    assert max(v.residual for v in verdicts) <= WITNESS_RESIDUAL_TOL
+    assert elapsed < 5.0
+
+
+def test_structural_zeros_need_no_lp(monkeypatch):
+    calls = count_lp_calls(monkeypatch)
+    rng = np.random.default_rng(8)
+    g1 = random_column_stochastic(5, rng)
+    perm = np.eye(5)[[3, 0, 4, 1, 2]]
+    verdict = divisibility_check(TransitionMatrix(perm @ g1, t=2.0, t0=0.0),
+                                 TransitionMatrix(g1, t=1.0, t0=0.0))
+    assert verdict.status == "divisible"
+    np.testing.assert_allclose(verdict.witness.matrix, perm, atol=1e-12)
+    assert calls == []
+
+    g1[:, 4] = g1[:, 3]  # singular: the unique-M route does not apply
+    divisibility_check(TransitionMatrix(perm @ g1, t=2.0, t0=0.0),
+                       TransitionMatrix(g1, t=1.0, t0=0.0))
+    assert len(calls) == 1
