@@ -13,6 +13,7 @@ search).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -64,6 +65,12 @@ def _emit(args, report: dict) -> None:
     ser.write_json(args.output, report)
 
 
+def _require_positive(flag: str, value) -> None:
+    """InputFormatError naming ``flag`` unless 0 < value < inf (NaN fails)."""
+    if not 0 < value < math.inf:
+        raise InputFormatError(flag, f"must be positive and finite, got {value!r}")
+
+
 def _status_line(text: str) -> None:
     sys.stdout.write(text + "\n")
 
@@ -73,6 +80,8 @@ def _status_line(text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_embed(args) -> int:
+    _require_positive("--dt", args.dt)
+    _require_positive("--T", args.duration)
     spec = ser.load_json(args.input)
     if not isinstance(spec, dict) or "law" not in spec:
         raise InputFormatError("law", "input must be an object naming a law")
@@ -112,6 +121,9 @@ def _parse_state_vector(obj, field: str, n: int) -> osc.StateVector:
 
 
 def _cmd_sh_sim(args) -> int:
+    _require_positive("--dt", args.dt)
+    _require_positive("--T", args.duration)
+    _require_positive("--stride", args.stride)
     payload = ser.load_json(args.input)
     h = ser.parse_hermitian(payload)
     if isinstance(payload, dict) and "psi0" in payload:
@@ -124,20 +136,15 @@ def _cmd_sh_sim(args) -> int:
     state0 = osc.sh_split(psi0)
     traj = osc.sh_integrate(system, state0, args.dt, args.duration,
                             method=args.method, sample_stride=args.stride)
-    energies = np.array([osc.sh_energy(system, traj.state(k))
-                         for k in range(len(traj))])
+    energies = osc.sh_energy(system, traj)
     drift = float(np.max(np.abs(energies - energies[0])))
-    deviation = 0.0
-    for k in range(len(traj)):
-        expected = osc.exact_evolve(h, psi0, float(traj.times[k]))
-        got = osc.sh_recombine(traj.state(k))
-        deviation = max(deviation,
-                        float(np.linalg.norm(got.psi - expected.psi)))
+    expected = osc.exact_evolve(h, psi0, traj.times)
+    got = osc.sh_recombine(traj)
+    deviation = float(np.max(np.linalg.norm(got - expected, axis=1)))
     header = (["t"] + [f"q_{i + 1}" for i in range(h.n)]
               + [f"p_{i + 1}" for i in range(h.n)])
-    rows = (np.concatenate(([traj.times[k]], traj.q[k], traj.p[k]))
-            for k in range(len(traj)))
-    ser.write_csv(_csv_path(args), header, rows)
+    ser.write_csv(_csv_path(args), header,
+                  np.column_stack([traj.times, traj.q, traj.p]))
     _emit(args, {
         "n": h.n,
         "dt": args.dt,
@@ -302,6 +309,7 @@ def _cmd_dilate(args) -> int:
 
 
 def _cmd_extract_hamiltonian(args) -> int:
+    _require_positive("--dt", args.dt)
     h = ser.parse_hermitian(ser.load_json(args.input))
     w, v = np.linalg.eigh(h.matrix)
 

@@ -22,7 +22,14 @@ Time evolution is integrated symplectically: the A-part and B-part of H_SH
 are each exactly solvable (mode rotations and an orthogonal flow), and a
 Strang composition B/2 . A . B/2 gives a second-order scheme whose energy
 error stays bounded instead of drifting.  Since H_SH is quadratic the whole
-step is one precomputed linear map on (q, p).
+step is one precomputed linear map on (q, p), so a stride of s steps is the
+single map step**s, built by repeated squaring; the integrator applies it
+once per recorded sample instead of looping over steps.
+
+The post-processing functions (sh_energy, sh_recombine, exact_evolve) take
+a whole trajectory, or an array of times, as readily as a single state: the
+energies come from one einsum over the sample rows, and exact evolution at
+every sample time from one eigendecomposition of H.
 """
 
 from __future__ import annotations
@@ -136,10 +143,14 @@ def sh_decompose(h: HermitianMatrix) -> SHSystem:
     return SHSystem(a, b)
 
 
-def sh_recombine(state: PhaseSpaceState) -> StateVector:
-    """Psi = (q + i p) / sqrt(2); no normalization is claimed for the result."""
+def sh_recombine(state: PhaseSpaceState | PhaseTrajectory
+                 ) -> StateVector | np.ndarray:
+    """Psi = (q + i p) / sqrt(2); no normalization is claimed for the result.
+
+    A trajectory gives one state per row, as a (samples, N) array.
+    """
     psi = (state.q + 1j * state.p) / np.sqrt(2.0)
-    return StateVector(psi, normalized=False)
+    return psi if psi.ndim == 2 else StateVector(psi, normalized=False)
 
 
 def sh_split(psi: StateVector) -> PhaseSpaceState:
@@ -148,14 +159,19 @@ def sh_split(psi: StateVector) -> PhaseSpaceState:
     return PhaseSpaceState(np.sqrt(2.0) * v.real, np.sqrt(2.0) * v.imag)
 
 
-def sh_energy(system: SHSystem, state: PhaseSpaceState) -> float:
+def sh_energy(system: SHSystem, state: PhaseSpaceState | PhaseTrajectory
+              ) -> float | np.ndarray:
     """Classical energy 1/2 p.A p + p.B q + 1/2 q.A q.
 
-    Equals Re <Psi|H|Psi> = <Psi|H|Psi> for Psi recombined from (q, p).
+    Equals Re <Psi|H|Psi> = <Psi|H|Psi> for Psi recombined from (q, p).  With
+    x = (q, p) it is the quadratic form x.K x for K = [[A/2, 0], [B, A/2]],
+    taken row by row, so a trajectory gives one energy per sample.
     """
-    q, p = state.q, state.p
-    return float(0.5 * p @ (system.a @ p) + p @ (system.b @ q)
-                 + 0.5 * q @ (system.a @ q))
+    a, b = system.a, system.b
+    k = np.block([[a / 2.0, np.zeros_like(b)], [b, a / 2.0]])
+    x = np.concatenate([state.q, state.p], axis=-1)
+    e = np.einsum("...i,...i->...", x @ k, x)
+    return float(e) if e.ndim == 0 else e
 
 
 @dataclass(frozen=True)
@@ -234,7 +250,9 @@ def sh_integrate(system: SHSystem, state: PhaseSpaceState, dt: float,
     divides duration.  method "strang" is the symplectic default; "rk4" is
     kept for comparison runs and has no symplecticity guarantee.
     sample_stride > 1 records every stride-th step (the first and last steps
-    are always included).
+    are always included).  The stride is taken as one matrix, step**stride,
+    so each recorded sample costs one matrix-vector product; stride 1 does
+    exactly the products of a step-by-step loop.
     """
     if dt <= 0.0 or duration <= 0.0:
         raise ValueError("dt and duration must be positive")
@@ -249,18 +267,20 @@ def sh_integrate(system: SHSystem, state: PhaseSpaceState, dt: float,
     else:
         raise ValueError(f"unknown method {method!r}")
 
+    stride = min(sample_stride, n_steps)
+    jumps, tail = divmod(n_steps, stride)
+    idx = stride * np.arange(jumps + 1)
+    if tail:
+        idx = np.append(idx, n_steps)
+    samples = np.empty((len(idx), 2 * system.n))
+    samples[0] = np.concatenate([state.q, state.p])
+    jump = np.linalg.matrix_power(step, stride)
+    for k in range(1, jumps + 1):
+        samples[k] = jump @ samples[k - 1]
+    if tail:
+        samples[-1] = np.linalg.matrix_power(step, tail) @ samples[-2]
     n = system.n
-    s = np.concatenate([state.q, state.p])
-    rec_idx = [0]
-    rec = [s.copy()]
-    for k in range(1, n_steps + 1):
-        s = step @ s
-        if k % sample_stride == 0 or k == n_steps:
-            rec_idx.append(k)
-            rec.append(s.copy())
-    samples = np.array(rec)
-    times = dt * np.array(rec_idx, dtype=float)
-    return PhaseTrajectory(times, samples[:, :n], samples[:, n:])
+    return PhaseTrajectory(dt * idx, samples[:, :n], samples[:, n:])
 
 
 def sh_normal_modes(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -273,12 +293,17 @@ def sh_normal_modes(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def exact_evolve(h: HermitianMatrix, psi0: StateVector, t: float) -> StateVector:
-    """Apply exp(-i H t) through the eigendecomposition of H."""
+def exact_evolve(h: HermitianMatrix, psi0: StateVector,
+                 t: float | np.ndarray) -> StateVector | np.ndarray:
+    """Apply exp(-i H t) through one eigendecomposition H = V diag(w) V^dag.
+
+    For an array of times the result has one state per row,
+    (exp(-i t (x) w) * (V^dag psi0)) V^T, as a (len(t), N) array.
+    """
     w, v = np.linalg.eigh(h.matrix)
-    phases = np.exp(-1j * w * t)
-    psi = v @ (phases * (v.conj().T @ psi0.psi))
-    return StateVector(psi, normalized=psi0.normalized)
+    phases = np.exp(-1j * np.multiply.outer(t, w))
+    psi = (phases * (v.conj().T @ psi0.psi)) @ v.T
+    return psi if psi.ndim == 2 else StateVector(psi, normalized=psi0.normalized)
 
 
 def time_reverse_state(psi: StateVector, v: np.ndarray | None = None) -> StateVector:

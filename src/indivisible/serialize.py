@@ -97,14 +97,41 @@ def load_json(path: str | Path) -> Any:
         raise InputFormatError("<file>", f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise InputFormatError("<file>", f"invalid JSON in {path}: {exc}") from exc
 
 
 def _expect_number(value: Any, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputFormatError(field, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputFormatError(field, "number out of range") from None
+
+
+def _check_numbers(row: list, field: str) -> None:
+    """InputFormatError naming ``field[j]`` for the first non-number in ``row``.
+
+    The type test runs at C speed; only a row that fails it is walked for the
+    offending entry.  ``type(True) is bool``, so booleans fail it too.
+    """
+    if not frozenset((int, float)).issuperset(map(type, row)):
+        for j, v in enumerate(row):
+            _expect_number(v, f"{field}[{j}]")
+
+
+def _float_array(obj: list, field: str) -> np.ndarray:
+    """``obj``, already checked to hold only numbers, as a float array.
+
+    An integer beyond the double range is reported at its own dotted path.
+    """
+    try:
+        return np.array(obj, dtype=float)
+    except OverflowError:
+        for idx, v in np.ndenumerate(np.array(obj, dtype=object)):
+            _expect_number(v, field + "".join(f"[{i}]" for i in idx))
+        raise
 
 
 def _expect_int(value: Any, field: str) -> int:
@@ -116,7 +143,6 @@ def _expect_int(value: Any, field: str) -> int:
 def parse_real_matrix(obj: Any, field: str, n: int | None = None) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise InputFormatError(field, "expected a nonempty list of rows")
-    rows = []
     width = None
     for i, row in enumerate(obj):
         if not isinstance(row, list):
@@ -126,9 +152,8 @@ def parse_real_matrix(obj: Any, field: str, n: int | None = None) -> np.ndarray:
         elif len(row) != width:
             raise InputFormatError(
                 f"{field}[{i}]", f"row length {len(row)} != {width}")
-        rows.append([_expect_number(v, f"{field}[{i}][{j}]")
-                     for j, v in enumerate(row)])
-    arr = np.array(rows)
+        _check_numbers(row, f"{field}[{i}]")
+    arr = _float_array(obj, field)
     if arr.shape[0] != arr.shape[1]:
         raise InputFormatError(field, f"matrix must be square, got {arr.shape}")
     if n is not None and arr.shape[0] != n:
@@ -164,7 +189,8 @@ def parse_hermitian(obj: Any, field: str = "<root>") -> HermitianMatrix:
 def parse_vector(obj: Any, field: str, n: int | None = None) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise InputFormatError(field, "expected a nonempty list")
-    vec = np.array([_expect_number(v, f"{field}[{i}]") for i, v in enumerate(obj)])
+    _check_numbers(obj, field)
+    vec = _float_array(obj, field)
     if n is not None and vec.shape[0] != n:
         raise InputFormatError(field, f"expected length {n}, got {vec.shape[0]}")
     return vec

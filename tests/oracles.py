@@ -116,3 +116,20 @@ def qubit_rotation_gamma(theta: float) -> np.ndarray:
     """Squared moduli of exp(-i * theta * sigma_x): the working 2x2 family."""
     c, s = np.cos(theta) ** 2, np.sin(theta) ** 2
     return np.array([[c, s], [s, c]])
+
+
+def stepwise_samples(step: np.ndarray, x0: np.ndarray, n_steps: int,
+                     stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for a strided linear integrator: apply ``step`` once per step
+    and record steps 0, stride, 2 stride, ... and always the last one.
+
+    Returns the recorded step indices and one state per row.
+    """
+    s = np.asarray(x0, dtype=float)
+    idx, rec = [0], [s.copy()]
+    for k in range(1, n_steps + 1):
+        s = step @ s
+        if k % stride == 0 or k == n_steps:
+            idx.append(k)
+            rec.append(s.copy())
+    return np.array(idx), np.array(rec)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from indivisible import cli
+from indivisible import oscillator as osc
+from indivisible import serialize as ser
 from indivisible import stochastic as stoch
 from indivisible.serialize import canonical_dumps
 
@@ -72,6 +74,44 @@ def test_sh_sim_meets_tolerance(tmp_path):
     assert report["max_deviation_from_exact"] <= 1e-6
     header = (tmp_path / "sh.csv").read_text().splitlines()[0]
     assert header == "t,q_1,q_2,p_1,p_2"
+
+
+def test_sh_sim_report_matches_per_sample_recomputation(tmp_path):
+    """Dense recording: the report's energy drift and deviation from exact
+    evolution equal a sample-by-sample recomputation from the CSV."""
+    n = 8
+    rng = np.random.default_rng(21)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = (z + z.conj().T) / 2.0
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi /= np.linalg.norm(psi)
+    payload = {"n": n, "re": h.real.tolist(), "im": h.imag.tolist(),
+               "psi0": {"re": psi.real.tolist(), "im": psi.imag.tolist()}}
+    inp = write(tmp_path / "h8.json", payload)
+    out = tmp_path / "sh.json"
+    code = run(["sh-sim", "--input", inp, "--output", out,
+                "--dt", "0.01", "--T", "3", "--stride", "1"])
+    assert code == 0
+    report = json.loads(out.read_text())
+    rows = np.loadtxt(tmp_path / "sh.csv", delimiter=",", skiprows=1)
+    assert report["samples"] == len(rows) == 301
+
+    hm = ser.parse_hermitian(payload)
+    system = osc.sh_decompose(hm)
+    psi0 = osc.StateVector(psi)
+    energies, deviation = [], 0.0
+    for t, q, p in zip(rows[:, 0], rows[:, 1:n + 1], rows[:, n + 1:]):
+        state = osc.PhaseSpaceState(q, p)
+        energies.append(osc.sh_energy(system, state))
+        deviation = max(deviation, float(np.linalg.norm(
+            osc.sh_recombine(state).psi - osc.exact_evolve(hm, psi0, t).psi)))
+    drift = max(abs(e - energies[0]) for e in energies)
+    assert report["energy"]["initial"] == pytest.approx(energies[0],
+                                                        rel=0.0, abs=1e-13)
+    assert report["energy"]["max_drift"] == pytest.approx(drift,
+                                                          rel=0.0, abs=1e-13)
+    assert report["max_deviation_from_exact"] == pytest.approx(
+        deviation, rel=0.0, abs=1e-13)
 
 
 def test_divisibility_qubit_defaults_to_latest_pair(tmp_path, qubit_file):
@@ -290,6 +330,37 @@ def test_non_finite_input_exits_1(tmp_path, capsys, case):
 
 HERMITIAN_2 = {"n": 2, "re": [[0.3, 0.1], [0.1, -0.2]],
                "im": [[0.0, -0.4], [0.4, 0.0]]}
+HERMITIAN_2_TEXT = json.dumps(HERMITIAN_2)
+OUT_OF_RANGE_CASES = {
+    "sh-sim-stride": ("sh-sim", HERMITIAN_2_TEXT, ["--stride", "0"], "--stride"),
+    "sh-sim-dt": ("sh-sim", HERMITIAN_2_TEXT, ["--dt", "0"], "--dt"),
+    "sh-sim-T": ("sh-sim", HERMITIAN_2_TEXT, ["--T", "-1"], "--T"),
+    "embed-dt": ("embed", '{"law": "free"}', ["--dt", "0"], "--dt"),
+    "extract-hamiltonian-dt": ("extract-hamiltonian", HERMITIAN_2_TEXT,
+                               ["--dt", "0"], "--dt"),
+    "huge-integer": ("sh-sim",
+                     json.dumps({**HERMITIAN_2, "re": [[0.3, 0.1], [0.1, 10 ** 400]]}),
+                     [], "<root>.re[1][1]"),
+    # past the interpreter's limit on integer digits json.loads refuses it
+    "overlong-integer": ("sh-sim", '{"n": 2, "re": [[%s, 0.1], [0.1, -0.2]], '
+                         '"im": [[0.0, -0.4], [0.4, 0.0]]}' % ("9" * 5000),
+                         [], "<file>"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_CASES))
+def test_out_of_range_input_exits_1(tmp_path, capsys, case):
+    command, text, flags, field = OUT_OF_RANGE_CASES[case]
+    inp = tmp_path / "in.json"
+    inp.write_text(text)
+    out = tmp_path / "report.json"
+    code = run([command, "--input", inp, "--output", out, *flags])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == field
+    assert not out.exists()
+
+
 FRAMING_CASES = {
     "embed": ({"law": "free", "x0": 0.0, "v0": 1.0}, ["--T", "0.01"]),
     "sh-sim": (HERMITIAN_2, ["--T", "0.01", "--stride", "10"]),

@@ -7,6 +7,8 @@ from indivisible.oscillator import (
     PhaseSpaceState,
     SHSystem,
     StateVector,
+    _rk4_step_matrix,
+    _strang_step_matrix,
     exact_evolve,
     sh_decompose,
     sh_energy,
@@ -16,7 +18,7 @@ from indivisible.oscillator import (
     sh_split,
     time_reverse_state,
 )
-from oracles import random_unitary
+from oracles import random_unitary, stepwise_samples
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -117,6 +119,54 @@ def test_strang_tracks_exact_evolution():
         want = exact_evolve(h, psi0, float(traj.times[k]))
         worst = max(worst, float(np.linalg.norm(got.psi - want.psi)))
     assert worst <= 1e-5
+
+
+STEP_MATRIX = {"strang": _strang_step_matrix, "rk4": _rk4_step_matrix}
+
+
+@pytest.mark.parametrize("method", sorted(STEP_MATRIX))
+@pytest.mark.parametrize("n", [2, 5, 16])
+@pytest.mark.parametrize("stride", [1, 3, 1000, 5000])
+def test_strided_integration_matches_step_loop(method, n, stride):
+    """2500 steps: stride 3 and 1000 leave a tail, 5000 outlasts the run."""
+    rng = np.random.default_rng(100 + n)
+    system = sh_decompose(random_hermitian(n, rng, unit_norm=True))
+    state0 = sh_split(random_state(n, rng))
+    duration, n_steps = 2.5, 2500
+    traj = sh_integrate(system, state0, 1e-3, duration, method=method,
+                        sample_stride=stride)
+    dt = duration / n_steps
+    idx, want = stepwise_samples(STEP_MATRIX[method](system, dt),
+                                 np.concatenate([state0.q, state0.p]),
+                                 n_steps, stride)
+    assert len(traj) == len(idx)
+    assert np.array_equal(traj.times, dt * idx)
+    if stride == 1:
+        assert np.array_equal(traj.q, want[:, :n])
+        assert np.array_equal(traj.p, want[:, n:])
+    else:
+        np.testing.assert_allclose(traj.q, want[:, :n], rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(traj.p, want[:, n:], rtol=0.0, atol=1e-11)
+
+
+def test_trajectory_post_processing_matches_per_sample():
+    rng = np.random.default_rng(12)
+    h = random_hermitian(5, rng)
+    system = sh_decompose(h)
+    psi0 = random_state(5, rng)
+    traj = sh_integrate(system, sh_split(psi0), 1e-2, 3.0, sample_stride=7)
+    energies = sh_energy(system, traj)
+    states = sh_recombine(traj)
+    exact = exact_evolve(h, psi0, traj.times)
+    assert energies.shape == (len(traj),)
+    assert states.shape == exact.shape == (len(traj), 5)
+    for k in range(len(traj)):
+        assert energies[k] == pytest.approx(sh_energy(system, traj.state(k)),
+                                            rel=0.0, abs=1e-13)
+        np.testing.assert_array_equal(states[k], sh_recombine(traj.state(k)).psi)
+        np.testing.assert_allclose(
+            exact[k], exact_evolve(h, psi0, float(traj.times[k])).psi,
+            rtol=0.0, atol=1e-13)
 
 
 def test_rk4_matches_strang():

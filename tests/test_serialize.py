@@ -90,6 +90,14 @@ def test_parse_real_matrix_errors_carry_dotted_paths():
     assert err.value.field == "matrix[1]"
     with pytest.raises(InputFormatError):
         parse_real_matrix([[1.0, 2.0]], "matrix")  # not square
+    # a non-number inside an otherwise numeric row
+    for row, j, value in [(0, 1, True), (1, 0, None), (1, 1, [4.0])]:
+        bad = [[1.0, 2.0], [3.0, 4.0]]
+        bad[row][j] = value
+        with pytest.raises(InputFormatError) as err:
+            parse_real_matrix(bad, "matrix")
+        assert err.value.field == f"matrix[{row}][{j}]"
+        assert err.value.reason == f"expected a number, got {value!r}"
 
 
 def test_parse_complex_matrix_round_trips_payload():
