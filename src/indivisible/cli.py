@@ -35,16 +35,20 @@ SCHEMA_VERSION = 1
 # Input catalogs and helpers
 # ---------------------------------------------------------------------------
 
+def _param(params: dict, key: str, default: float) -> float:
+    return ser._expect_number(params.get(key, default), f"params.{key}")
+
+
 def _law_registry(name: str, params: dict):
     if name == "harmonic":
-        k = float(params.get("k", 1.0))
+        k = _param(params, "k", 1.0)
         return lambda x, y: -k * x
     if name == "damped":
-        k = float(params.get("k", 1.0))
-        c = float(params.get("c", 0.1))
+        k = _param(params, "k", 1.0)
+        c = _param(params, "c", 0.1)
         return lambda x, y: -k * x - c * y
     if name == "cubic":
-        k = float(params.get("k", 1.0))
+        k = _param(params, "k", 1.0)
         return lambda x, y: -k * x ** 3
     if name == "free":
         return lambda x, y: 0.0
@@ -71,6 +75,15 @@ def _require_positive(flag: str, value) -> None:
         raise InputFormatError(flag, f"must be positive and finite, got {value!r}")
 
 
+def _require_grid(args) -> None:
+    """InputFormatError naming --dt when the round(T / dt) steps of the time
+    grid are more than numpy can hold in one float array."""
+    steps = args.duration / args.dt
+    if not steps < np.iinfo(np.intp).max // 8:
+        raise InputFormatError(
+            "--dt", f"--T / --dt is {steps:.3g} steps, more than an array can hold")
+
+
 def _status_line(text: str) -> None:
     sys.stdout.write(text + "\n")
 
@@ -82,6 +95,7 @@ def _status_line(text: str) -> None:
 def _cmd_embed(args) -> int:
     _require_positive("--dt", args.dt)
     _require_positive("--T", args.duration)
+    _require_grid(args)
     spec = ser.load_json(args.input)
     if not isinstance(spec, dict) or "law" not in spec:
         raise InputFormatError("law", "input must be an object naming a law")
@@ -89,14 +103,14 @@ def _cmd_embed(args) -> int:
     if not isinstance(params, dict):
         raise InputFormatError("params", "expected an object")
     ode = emb.SecondOrderODE(_law_registry(spec["law"], params))
-    x0 = float(spec.get("x0", 1.0))
-    v0 = float(spec.get("v0", 0.0))
+    x0 = ser._expect_number(spec.get("x0", 1.0), "x0")
+    v0 = ser._expect_number(spec.get("v0", 0.0), "v0")
     traj = emb.integrate_embedded(ode, x0, v0, args.dt, args.duration)
     invariant, violation = emb.check_time_reversal_invariance(
         ode, samples=256, seed=args.seed)
     energy = 0.5 * (traj.x ** 2 + traj.y ** 2)
     ser.write_csv(_csv_path(args), ["t", "x", "y"],
-                  zip(traj.times, traj.x, traj.y))
+                  np.column_stack([traj.times, traj.x, traj.y]))
     _emit(args, {
         "law": spec["law"],
         "dt": args.dt,
@@ -124,6 +138,7 @@ def _cmd_sh_sim(args) -> int:
     _require_positive("--dt", args.dt)
     _require_positive("--T", args.duration)
     _require_positive("--stride", args.stride)
+    _require_grid(args)
     payload = ser.load_json(args.input)
     h = ser.parse_hermitian(payload)
     if isinstance(payload, dict) and "psi0" in payload:
@@ -255,8 +270,8 @@ def _load_transition(args) -> tuple[stoch.TransitionMatrix, dict]:
     if not isinstance(payload, dict) or "matrix" not in payload:
         raise InputFormatError("matrix", "input must be an object with a matrix")
     matrix = ser.parse_real_matrix(payload["matrix"], "matrix")
-    t = float(payload.get("t", 1.0))
-    t0 = float(payload.get("t0", 0.0))
+    t = ser._expect_number(payload.get("t", 1.0), "t")
+    t0 = ser._expect_number(payload.get("t0", 0.0), "t0")
     return stoch.TransitionMatrix(matrix, t=t, t0=t0), payload
 
 

@@ -5,6 +5,9 @@ closed-form cases, or a second implementation from a different library.
 None of it imports the code under test beyond plain numpy arrays.
 """
 
+import json
+import math
+
 import numpy as np
 
 GRID_RESOLUTION = 0.02
@@ -133,3 +136,57 @@ def stepwise_samples(step: np.ndarray, x0: np.ndarray, n_steps: int,
             idx.append(k)
             rec.append(s.copy())
     return np.array(idx), np.array(rec)
+
+
+def _reference_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite float {value!r}")
+    return "%.17g" % value
+
+
+def _reference_write(obj, out: list) -> None:
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (np.floating, float)):
+        out.append(_reference_float(float(obj)))
+    elif isinstance(obj, (np.integer, int)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, np.ndarray):
+        _reference_write(obj.tolist(), out)
+    elif isinstance(obj, dict):
+        out.append("{")
+        for idx, key in enumerate(sorted(obj)):
+            if idx:
+                out.append(",")
+            out.append(json.dumps(key) + ":")
+            _reference_write(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for idx, item in enumerate(obj):
+            if idx:
+                out.append(",")
+            _reference_write(item, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_dumps(obj) -> str:
+    """Canonical JSON written one value at a time, each float on its own
+    through ``%.17g``: the bytes bulk formatting must reproduce."""
+    out: list = []
+    _reference_write(obj, out)
+    return "".join(out)
+
+
+def reference_csv(header, rows) -> str:
+    """CSV text with every float formatted on its own, row by row."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_reference_float(float(v)) for v in row))
+    return "\n".join(lines) + "\n"

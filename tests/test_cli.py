@@ -345,6 +345,22 @@ OUT_OF_RANGE_CASES = {
     "overlong-integer": ("sh-sim", '{"n": 2, "re": [[%s, 0.1], [0.1, -0.2]], '
                          '"im": [[0.0, -0.4], [0.4, 0.0]]}' % ("9" * 5000),
                          [], "<file>"),
+    # optional numbers outside the parsers: bare float() let these escape
+    "embed-huge-x0": ("embed", '{"law": "free", "x0": %s}' % ("9" * 400),
+                      [], "x0"),
+    "embed-string-v0": ("embed", '{"law": "free", "v0": "fast"}', [], "v0"),
+    "embed-list-param": ("embed", '{"law": "damped", "params": {"c": [0.1]}}',
+                         [], "params.c"),
+    "dilate-string-t": ("dilate", '{"matrix": [[0.5, 0.5], [0.5, 0.5]], "t": "x"}',
+                        [], "t"),
+    "unistochastic-huge-t0": ("unistochastic",
+                              '{"matrix": [[0.5, 0.5], [0.5, 0.5]], "t0": %s}'
+                              % ("9" * 400), [], "t0"),
+    # round(T / dt) steps: more samples than any array can hold
+    "sh-sim-steps": ("sh-sim", HERMITIAN_2_TEXT, ["--dt", "1e-300", "--T", "1"],
+                     "--dt"),
+    "embed-steps": ("embed", '{"law": "free"}', ["--dt", "1e-300", "--T", "1"],
+                    "--dt"),
 }
 
 

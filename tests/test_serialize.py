@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from indivisible.errors import InputFormatError
 from indivisible.serialize import (
@@ -20,6 +21,8 @@ from indivisible.serialize import (
     write_csv,
     write_json,
 )
+
+from oracles import reference_csv, reference_dumps
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -69,6 +72,66 @@ def test_csv_layout(tmp_path):
     assert lines[0] == "t,x"
     assert lines[1] == "0,1"
     assert lines[2] == "0.5,0.25"
+
+
+# Finite floats with the edge cases drawn often: signed zero, the smallest
+# subnormal, the extremes and integral values.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16]
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+SCALARS = (FINITE | st.integers() | st.booleans() | st.none()
+           | FINITE.map(np.float64))
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _rows(elements):
+    return st.lists(elements, max_size=12) | st.lists(elements, max_size=12).map(tuple)
+
+
+@given(st.one_of(_rows(FINITE), _rows(SCALARS), st.lists(_rows(FINITE), max_size=5),
+                 st.dictionaries(st.text(max_size=3), _rows(SCALARS), max_size=3)))
+def test_canonical_dumps_matches_per_element_reference(obj):
+    assert canonical_dumps(obj) == reference_dumps(obj)
+
+
+@given(st.lists(FINITE, max_size=12) | st.lists(SCALARS, max_size=12),
+       NON_FINITE | NON_FINITE.map(np.float64), st.integers(min_value=0),
+       st.booleans())
+def test_canonical_dumps_non_finite_raises_as_reference(row, bad, at, as_tuple):
+    row.insert(at % (len(row) + 1), bad)
+    obj = {"rows": [[0.5], tuple(row) if as_tuple else row]}
+    with pytest.raises(ValueError) as ours:
+        canonical_dumps(obj)
+    with pytest.raises(ValueError) as ref:
+        reference_dumps(obj)
+    assert str(ours.value) == str(ref.value)
+
+
+TABLES = hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                            max_side=8),
+                    elements=FINITE)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(TABLES, st.booleans())
+def test_write_csv_matches_per_element_reference(tmp_path, table, as_lists):
+    path = tmp_path / "t.csv"
+    header = [f"c{j}" for j in range(table.shape[1])]
+    write_csv(path, header, table.tolist() if as_lists else table)
+    assert path.read_text() == reference_csv(header, table)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(TABLES.filter(lambda a: a.size), NON_FINITE, st.integers(min_value=0))
+def test_write_csv_non_finite_raises_as_reference(tmp_path, table, bad, at):
+    table.flat[at % table.size] = bad
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError) as ours:
+        write_csv(path, ["x"] * table.shape[1], table)
+    with pytest.raises(ValueError) as ref:
+        reference_csv(["x"] * table.shape[1], table)
+    assert str(ours.value) == str(ref.value)
+    assert not path.exists()
 
 
 def test_load_json_reports_problems(tmp_path):
