@@ -5,9 +5,9 @@ writes canonical JSON (and CSV, for trajectories) via the serialize module,
 and is deterministic for a fixed --seed.  Numeric parameters are flags; an
 optional --config JSON file overrides flags of the same name.
 
-Exit codes: 0 success (including definitive negative verdicts), 1 validation
-or input-format failure, 2 solver gave up (iteration caps, inconclusive
-search).
+Exit codes: 0 success (including definitive negative verdicts), 1 validation,
+input-format or integration failure, 2 solver gave up (iteration caps,
+inconclusive search).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from . import embed as emb
 from . import oscillator as osc
 from . import serialize as ser
 from . import stochastic as stoch
-from .errors import (InputFormatError, UnsupportedSizeError, ValidationError,
-                     completeness_deviation)
+from .errors import (InputFormatError, IntegrationError, UnsupportedSizeError,
+                     ValidationError, completeness_deviation)
 
 SCHEMA_VERSION = 1
 
@@ -73,6 +73,13 @@ def _require_positive(flag: str, value) -> None:
     """InputFormatError naming ``flag`` unless 0 < value < inf (NaN fails)."""
     if not 0 < value < math.inf:
         raise InputFormatError(flag, f"must be positive and finite, got {value!r}")
+
+
+def _require_finite(flag: str, value) -> None:
+    """InputFormatError naming ``flag`` when value is NaN or infinite; an
+    unset flag (None) passes."""
+    if value is not None and not math.isfinite(value):
+        raise InputFormatError(flag, f"must be finite, got {value!r}")
 
 
 def _require_grid(args) -> None:
@@ -212,6 +219,9 @@ def _verdict_payload(verdict: stoch.DivisibilityVerdict, t: float, tp: float) ->
 
 
 def _cmd_divisibility(args) -> int:
+    _require_finite("--t", args.t)
+    _require_finite("--tp", args.tp)
+    _require_finite("--t0", args.t0)
     process = ser.parse_process(ser.load_json(args.input))
     tolerances = {"witness_residual": stoch.WITNESS_RESIDUAL_TOL,
                   "lp_relaxation": stoch.LP_RELAXATION,
@@ -244,6 +254,8 @@ def _cmd_divisibility(args) -> int:
 
 
 def _cmd_correspond(args) -> int:
+    _require_finite("--t", args.t)
+    _require_finite("--t0", args.t0)
     payload = ser.load_json(args.input)
     matrix = ser.parse_complex_matrix(payload, "<root>")
     u = corr.UnitaryMatrix(matrix, t=args.t if args.t is not None else 1.0,
@@ -276,6 +288,10 @@ def _load_transition(args) -> tuple[stoch.TransitionMatrix, dict]:
 
 
 def _cmd_unistochastic(args) -> int:
+    if args.max_iters < 0:
+        raise InputFormatError(
+            "--max-iters", f"must be at least 0, got {args.max_iters!r}")
+    _require_positive("--tol", args.tol)
     gamma, _ = _load_transition(args)
     result = corr.unistochastic_search(gamma, max_iters=args.max_iters,
                                        tol=args.tol, seed=args.seed)
@@ -324,6 +340,7 @@ def _cmd_dilate(args) -> int:
 
 
 def _cmd_extract_hamiltonian(args) -> int:
+    _require_finite("--t", args.t)
     _require_positive("--dt", args.dt)
     h = ser.parse_hermitian(ser.load_json(args.input))
     w, v = np.linalg.eigh(h.matrix)
@@ -417,6 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import and only read after: parse_args makes a fresh
+# namespace per call and _apply_config writes to that namespace alone, so
+# every main() call in a process can share it.
+_PARSER = build_parser()
+
 _CONFIG_ALIASES = {"T": "duration"}
 
 
@@ -463,10 +485,9 @@ def _structured_error(field: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        _apply_config(parser, args)
+        _apply_config(_PARSER, args)
         return args.handler(args)
     except InputFormatError as exc:
         _structured_error(exc.field, exc.reason)
@@ -476,6 +497,9 @@ def main(argv=None) -> int:
         return 1
     except UnsupportedSizeError as exc:
         _structured_error("<size>", str(exc))
+        return 1
+    except IntegrationError as exc:
+        _structured_error("<integration>", str(exc))
         return 1
     except KeyError as exc:
         _structured_error("<lookup>", str(exc))

@@ -167,7 +167,7 @@ def integrate_embedded(ode: SecondOrderODE, x0: float, v0: float,
 
     Runs round(duration / dt) equal steps covering [0, duration] exactly; the
     first sample is (x0, v0).  Raises IntegrationError (with the step index)
-    if the state stops being finite.
+    if the state stops being finite or the law overflows.
     """
     n, dt = _uniform_grid(dt, duration)
     f = ode.f
@@ -177,27 +177,31 @@ def integrate_embedded(ode: SecondOrderODE, x0: float, v0: float,
     ys = np.empty(n + 1)
     xs[0], ys[0] = x0, v0
     x, y = x0, v0
-    for k in range(n):
-        k1x = y
-        k1y = f(x, y)
-        k2x = y + half * k1y
-        k2y = f(x + half * k1x, y + half * k1y)
-        k3x = y + half * k2y
-        k3y = f(x + half * k2x, y + half * k2y)
-        k4x = y + dt * k3y
-        k4y = f(x + dt * k3x, y + dt * k3y)
-        sx = k1x + 2.0 * k2x
-        sx = sx + 2.0 * k3x
-        sx = sx + k4x
-        sy = k1y + 2.0 * k2y
-        sy = sy + 2.0 * k3y
-        sy = sy + k4y
-        x = x + sixth * sx
-        y = y + sixth * sy
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise IntegrationError(
-                f"state became non-finite at step {k + 1}", step=k + 1)
-        xs[k + 1], ys[k + 1] = x, y
+    try:
+        for k in range(n):
+            k1x = y
+            k1y = f(x, y)
+            k2x = y + half * k1y
+            k2y = f(x + half * k1x, y + half * k1y)
+            k3x = y + half * k2y
+            k3y = f(x + half * k2x, y + half * k2y)
+            k4x = y + dt * k3y
+            k4y = f(x + dt * k3x, y + dt * k3y)
+            sx = k1x + 2.0 * k2x
+            sx = sx + 2.0 * k3x
+            sx = sx + k4x
+            sy = k1y + 2.0 * k2y
+            sy = sy + 2.0 * k3y
+            sy = sy + k4y
+            x = x + sixth * sx
+            y = y + sixth * sy
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise IntegrationError(
+                    f"state became non-finite at step {k + 1}", step=k + 1)
+            xs[k + 1], ys[k + 1] = x, y
+    except OverflowError as exc:  # float ** past the double range
+        raise IntegrationError(
+            f"law overflowed at step {k + 1}: {exc}", step=k + 1) from None
     times = dt * np.arange(n + 1)
     return Trajectory(times, xs, ys)
 
@@ -215,19 +219,23 @@ def integrate_complex(flow: ComplexFlow, z0: complex, dt: float,
     zs = np.empty(n + 1, dtype=complex)
     zs[0] = z0
     z = complex(z0)
-    for k in range(n):
-        k1 = eval_complex_flow(flow, z)
-        k2 = eval_complex_flow(flow, z + half * k1)
-        k3 = eval_complex_flow(flow, z + half * k2)
-        k4 = eval_complex_flow(flow, z + dt * k3)
-        s = k1 + 2.0 * k2
-        s = s + 2.0 * k3
-        s = s + k4
-        z = z + sixth * s
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise IntegrationError(
-                f"state became non-finite at step {k + 1}", step=k + 1)
-        zs[k + 1] = z
+    try:
+        for k in range(n):
+            k1 = eval_complex_flow(flow, z)
+            k2 = eval_complex_flow(flow, z + half * k1)
+            k3 = eval_complex_flow(flow, z + half * k2)
+            k4 = eval_complex_flow(flow, z + dt * k3)
+            s = k1 + 2.0 * k2
+            s = s + 2.0 * k3
+            s = s + k4
+            z = z + sixth * s
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise IntegrationError(
+                    f"state became non-finite at step {k + 1}", step=k + 1)
+            zs[k + 1] = z
+    except OverflowError as exc:
+        raise IntegrationError(
+            f"law overflowed at step {k + 1}: {exc}", step=k + 1) from None
     times = dt * np.arange(n + 1)
     return times, zs
 

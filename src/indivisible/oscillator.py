@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require_hermitian, square_matrix
+from .errors import (ValidationError, require_finite, require_hermitian,
+                     square_matrix)
 
 HERMITICITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
@@ -70,6 +71,7 @@ class StateVector:
 
     def __post_init__(self):
         v = np.array(self.psi, dtype=complex).reshape(-1)
+        require_finite(v, "state")
         if self.normalized:
             nrm = float(np.linalg.norm(v))
             if abs(nrm - 1.0) > NORMALIZATION_TOL:

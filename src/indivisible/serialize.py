@@ -121,9 +121,12 @@ def _expect_number(value: Any, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputFormatError(field, f"expected a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise InputFormatError(field, "number out of range") from None
+    if not math.isfinite(number):  # the JSON NaN and Infinity literals
+        raise InputFormatError(field, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _check_numbers(row: list, field: str) -> None:

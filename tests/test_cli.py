@@ -328,6 +328,7 @@ def test_non_finite_input_exits_1(tmp_path, capsys, case):
     assert not out.exists()
 
 
+PROCESS_OK = PROCESS_TEXT % ("[[1.0, 0.0], [0.0, 1.0]]", "[1.0, 0.0]")
 HERMITIAN_2 = {"n": 2, "re": [[0.3, 0.1], [0.1, -0.2]],
                "im": [[0.0, -0.4], [0.4, 0.0]]}
 HERMITIAN_2_TEXT = json.dumps(HERMITIAN_2)
@@ -361,6 +362,57 @@ OUT_OF_RANGE_CASES = {
                      "--dt"),
     "embed-steps": ("embed", '{"law": "free"}', ["--dt", "1e-300", "--T", "1"],
                     "--dt"),
+    # the NaN and Infinity literals of json.loads in optional numbers
+    "embed-nan-x0": ("embed", '{"law": "free", "x0": NaN}', [], "x0"),
+    "embed-inf-v0": ("embed", '{"law": "free", "v0": Infinity}', [], "v0"),
+    "embed-nan-k": ("embed", '{"law": "damped", "params": {"k": NaN}}', [],
+                    "params.k"),
+    "embed-inf-c": ("embed", '{"law": "damped", "params": {"c": -Infinity}}',
+                    [], "params.c"),
+    "unistochastic-nan-t": ("unistochastic",
+                            '{"matrix": [[0.5, 0.5], [0.5, 0.5]], "t": NaN}',
+                            [], "t"),
+    "dilate-inf-t0": ("dilate",
+                      '{"matrix": [[0.5, 0.5], [0.5, 0.5]], "t0": Infinity}',
+                      [], "t0"),
+    "divisibility-nan-target": (
+        "divisibility", PROCESS_OK.replace("[0.0, 1.0, 2.0]", "[0.0, NaN, 2.0]"),
+        [], "<root>.targets[1]"),
+    "divisibility-inf-conditioning": (
+        "divisibility", PROCESS_OK.replace('"conditioning": [0.0]',
+                                           '"conditioning": [Infinity]'),
+        [], "<root>.conditioning[0]"),
+    "divisibility-nan-t": (
+        "divisibility", PROCESS_OK.replace('"t": 1.0', '"t": NaN'),
+        [], "<root>.transitions[0].t"),
+    "divisibility-inf-t0": (
+        "divisibility", PROCESS_OK.replace('"t": 2.0, "t0": 0.0',
+                                           '"t": 2.0, "t0": -Infinity'),
+        [], "<root>.transitions[1].t0"),
+    "sh-sim-nan-psi0": ("sh-sim", HERMITIAN_2_TEXT[:-1]
+                        + ', "psi0": {"re": [NaN, 0.0], "im": [0.0, 0.0]}}',
+                        ["--T", "0.01"], "<validation>"),
+    # a law that overflows a float ** mid-integration
+    "embed-overflow": ("embed", '{"law": "cubic", "x0": 1e200}', ["--T", "0.01"],
+                       "<integration>"),
+    # flag values the handlers cannot honour
+    "unistochastic-tol-nan": ("unistochastic",
+                              '{"matrix": [[0.5, 0.5], [0.5, 0.5]]}',
+                              ["--tol", "nan"], "--tol"),
+    "unistochastic-negative-max-iters": (
+        "unistochastic", '{"matrix": [[0.5, 0.5], [0.5, 0.5]]}',
+        ["--max-iters", "-3"], "--max-iters"),
+    "correspond-t-nan": ("correspond",
+                         '{"re": [[1.0, 0.0], [0.0, 1.0]], '
+                         '"im": [[0.0, 0.0], [0.0, 0.0]]}', ["--t", "nan"], "--t"),
+    "correspond-t0-inf": ("correspond",
+                          '{"re": [[1.0, 0.0], [0.0, 1.0]], '
+                          '"im": [[0.0, 0.0], [0.0, 0.0]]}', ["--t0", "inf"],
+                          "--t0"),
+    "extract-hamiltonian-t-nan": ("extract-hamiltonian", HERMITIAN_2_TEXT,
+                                  ["--t", "nan"], "--t"),
+    "divisibility-t0-nan": ("divisibility", PROCESS_OK,
+                            ["--all-pairs", "--t0", "nan"], "--t0"),
 }
 
 
@@ -398,6 +450,57 @@ def test_every_report_is_framed(tmp_path, qubit_file, command):
                 *flags]) == 0
     report = json.loads(out.read_text())
     assert (report["schema"], report["command"], report["seed"]) == (1, command, 7)
+
+
+def test_main_does_not_build_a_parser(tmp_path, qubit_file, monkeypatch):
+    """Every call reuses the parser built at import."""
+    def refuse():
+        raise AssertionError("build_parser called from main()")
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for command, (payload, flags) in sorted(FRAMING_CASES.items()):
+        inp = qubit_file if payload is None else write(tmp_path / "in.json",
+                                                       payload)
+        assert run([command, "--input", inp,
+                    "--output", tmp_path / f"{command}.json", *flags]) == 0
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys,
+                                                    monkeypatch):
+    """A config override and a parse error in one call leave no trace in the
+    next: each report equals that of a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
+    law = write(tmp_path / "law.json", {"law": "damped", "x0": 1.0, "v0": 0.0})
+    ham = write(tmp_path / "h.json", HERMITIAN_2)
+    cfg = write(tmp_path / "cfg.json", {"dt": 0.01})
+    steps = [
+        (["embed", "--input", law, "--T", "0.5", "--config", cfg], 0),
+        (["embed", "--input", law, "--T", "0.5"], 0),
+        (["sh-sim", "--input", ham, "--stride", "2.5"], 2),
+        (["sh-sim", "--input", ham, "--T", "0.01"], 0),
+    ]
+    env = dict(os.environ)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    for i, (argv, want) in enumerate(steps):
+        here, fresh = tmp_path / f"here-{i}.json", tmp_path / f"fresh-{i}.json"
+        capsys.readouterr()
+        try:
+            code = run([*argv, "--output", here])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        proc = subprocess.run(
+            [sys.executable, "-m", "indivisible.cli", *map(str, argv),
+             "--output", str(fresh)], capture_output=True, text=True, env=env)
+        assert (code, proc.returncode) == (want, want), proc.stderr
+        if want:
+            assert err == proc.stderr
+            assert not here.exists() and not fresh.exists()
+            continue
+        assert here.read_bytes() == fresh.read_bytes()
+        assert (here.with_suffix(".csv").read_bytes()
+                == fresh.with_suffix(".csv").read_bytes())
 
 
 def test_reruns_are_byte_identical(tmp_path, qubit_file):

@@ -184,6 +184,16 @@ def test_integrator_reports_blowup():
     assert err.value.step >= 1
 
 
+def test_integrators_report_an_overflowing_law_at_its_step():
+    cubic = SecondOrderODE(lambda x, y: -x ** 3)  # float ** raises OverflowError
+    with pytest.raises(IntegrationError) as err:
+        integrate_embedded(cubic, 1e200, 0.0, 1e-3, 1.0)
+    assert err.value.step == 1
+    with pytest.raises(IntegrationError) as err:
+        integrate_complex(ComplexFlow(cubic), complex(1e200, 0.0), 1e-3, 1.0)
+    assert err.value.step == 1
+
+
 def test_trajectory_arrays_are_read_only():
     traj = integrate_embedded(HARMONIC, 1.0, 0.0, 1e-2, 1.0)
     with pytest.raises(ValueError):
