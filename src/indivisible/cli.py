@@ -184,23 +184,30 @@ def _cmd_sh_sim(args) -> int:
     return 0
 
 
+def _source_time(process: stoch.IndivisibleProcess, args) -> float:
+    """--t0, else the earliest conditioning time."""
+    return args.t0 if args.t0 is not None else min(process.conditioning)
+
+
 def _stamps(process: stoch.IndivisibleProcess, args) -> tuple[float, list]:
-    """Source time (--t0, else the earliest conditioning time) and the sorted
-    target times stored from it."""
-    t0 = args.t0 if args.t0 is not None else min(process.conditioning)
-    return t0, sorted(t for (t, s) in process.transitions if s == t0)
+    """Source time and the sorted target times stored from it; exits 1 when
+    there are fewer than two to compare."""
+    t0 = _source_time(process, args)
+    stamps = sorted(t for (t, s) in process.transitions if s == t0)
+    if len(stamps) < 2:
+        raise InputFormatError(
+            "transitions", f"need two transitions from t0={t0} to compare")
+    return t0, stamps
 
 
 def _select_pair(process: stoch.IndivisibleProcess, args):
     if (args.t is None) != (args.tp is None):
         raise InputFormatError("--t" if args.t is None else "--tp",
                                "--t and --tp must be given together")
-    t0, stamps = _stamps(process, args)
     if args.t is not None:
+        t0 = _source_time(process, args)
         return process.transition(args.t, t0), process.transition(args.tp, t0)
-    if len(stamps) < 2:
-        raise InputFormatError(
-            "transitions", f"need two transitions from t0={t0} to compare")
+    t0, stamps = _stamps(process, args)
     return process.transition(stamps[-1], t0), process.transition(stamps[-2], t0)
 
 

@@ -26,8 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (NotRankOneError, UnsupportedSizeError, ValidationError,
-                     completeness_deviation, require_hermitian, square_matrix)
+from .errors import (NotRankOneError, SquareMatrix, UnsupportedSizeError,
+                     ValidationError, completeness_deviation, freeze,
+                     require_hermitian, square_matrix)
 from .oscillator import HERMITICITY_TOL, HermitianMatrix, StateVector
 from .stochastic import Distribution, TransitionMatrix
 
@@ -48,10 +49,9 @@ ORTHO_MAX_SIZE = 4
 
 
 @dataclass(frozen=True)
-class UnitaryMatrix:
+class UnitaryMatrix(SquareMatrix):
     """Unitary with time stamps: the evolution from t0 to t."""
 
-    matrix: np.ndarray
     t: float = 1.0
     t0: float = 0.0
 
@@ -62,19 +62,12 @@ class UnitaryMatrix:
             raise ValidationError(
                 f"matrix is not unitary: max |U^dag U - 1| = {dev:.3e}",
                 deviation=dev)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+        freeze(self, matrix=m)
 
 
 @dataclass(frozen=True)
-class PotentialMatrix:
+class PotentialMatrix(SquareMatrix):
     """Complex matrix whose columns are unit vectors (column sum rule)."""
-
-    matrix: np.ndarray
 
     def __post_init__(self):
         m = square_matrix(self.matrix, complex)
@@ -84,12 +77,7 @@ class PotentialMatrix:
             raise ValidationError(
                 f"columns {bad} do not have unit 2-norm",
                 columns=bad, norms=[float(x) for x in norms])
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+        freeze(self, matrix=m)
 
 
 @dataclass(frozen=True)
@@ -119,9 +107,7 @@ class KrausSet:
             raise ValidationError(
                 f"completeness fails: max |sum K^dag K - 1| = {dev:.3e}",
                 deviation=dev)
-        for k in ops:
-            k.flags.writeable = False
-        object.__setattr__(self, "operators", ops)
+        freeze(self, operators=ops)
 
     @property
     def n(self) -> int:
@@ -129,10 +115,8 @@ class KrausSet:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(SquareMatrix):
     """Hermitian, positive semidefinite (to tolerance), unit trace."""
-
-    matrix: np.ndarray
 
     def __post_init__(self):
         m = square_matrix(self.matrix, complex)
@@ -145,12 +129,7 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace {tr!r} is not 1")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+        freeze(self, matrix=m)
 
 
 # ---------------------------------------------------------------------------
@@ -413,35 +392,28 @@ def apply_kraus(kraus: KrausSet, rho: DensityMatrix) -> DensityMatrix:
 def stinespring_dilate(kraus: KrausSet) -> UnitaryMatrix:
     """Dilate the Kraus set to a unitary on system x ancilla (dimension N^2).
 
-    Basis layout: |i> x |beta> sits at flat row i*N + beta.  The isometry
-    V|j> = sum_beta (K_beta |j>) x |beta> occupies the input columns with the
-    ancilla at its reference state (index 0): column j*N.  The remaining
-    columns are an orthonormal basis of the complement, obtained from the
-    eigenvectors of the complementary projector, so the result is unitary to
-    machine precision and deterministic.
+    Basis layout: |i> x |beta> sits at flat row i*N + beta, and input
+    |j> x |k> at flat column j*N + k.  The isometry
+    V|j> = sum_beta (K_beta |j>) x |beta> = (K_j |j>) x |j> fills column j*N
+    (ancilla at its reference state 0), because K_beta is supported on column
+    beta only.  So U is N blocks: columns j*N .. j*N + N-1 map into rows
+    j, j+N, ..., as the unitary Q_j whose first column is K_j |j>, a unit
+    vector by completeness.  Q_j comes from the QR factorization of
+    [K_j |j> | 1], its first column replaced by K_j |j> itself (the two
+    differ by the phase of R[0, 0]).  U is unitary to machine precision,
+    deterministic, and has at most N^3 nonzero entries.
     """
     n = kraus.n
-    dim = n * n
-    u = np.zeros((dim, dim), dtype=complex)
-    rows = np.arange(n) * n
-    for j in range(n):
-        target = np.zeros(dim, dtype=complex)
-        for beta, k in enumerate(kraus.operators):
-            target[rows + beta] += k[:, j]
-        u[:, j * n] = target
-
-    v = u[:, [j * n for j in range(n)]]
-    proj = np.eye(dim, dtype=complex) - v @ v.conj().T
-    w, vecs = np.linalg.eigh(proj)
-    comp = vecs[:, w > 0.5]
-    if comp.shape[1] != dim - n:
-        raise RuntimeError(
-            f"complement has rank {comp.shape[1]}, expected {dim - n}")
-    spare = iter(range(comp.shape[1]))
-    for c in range(dim):
-        if c % n != 0:
-            u[:, c] = comp[:, next(spare)]
-    return UnitaryMatrix(u)
+    cols = np.stack([k[:, j] for j, k in enumerate(kraus.operators)])
+    a = np.concatenate([cols[:, :, None],
+                        np.broadcast_to(np.eye(n), (n, n, n))], axis=2)
+    q = np.linalg.qr(a)[0]
+    q[:, :, 0] = cols
+    # u[i, beta, j, k] is row i*N + beta, column j*N + k; block j has beta = j
+    u = np.zeros((n, n, n, n), dtype=complex)
+    j = np.arange(n)
+    u[:, j, j, :] = q.transpose(1, 0, 2)
+    return UnitaryMatrix(u.reshape(n * n, n * n))
 
 
 def dilation_marginal(u: UnitaryMatrix | np.ndarray, n: int) -> np.ndarray:

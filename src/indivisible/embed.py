@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError
+from .errors import DomainError, IntegrationError, freeze
 
 # Reversal-invariance sampling: |F(x, y) - F(x, -y)| is probed on
 # uniform draws from [-BOX, BOX]^2 and compared against INVARIANCE_TOL.
@@ -136,10 +136,8 @@ class Trajectory:
     y: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "x", "y"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze(self, **{name: np.array(getattr(self, name), dtype=float)
+                        for name in ("times", "x", "y")})
         if not (len(self.times) == len(self.x) == len(self.y)):
             raise ValueError("times, x, y must have equal lengths")
 

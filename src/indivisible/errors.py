@@ -1,7 +1,8 @@
-"""Exception types and the matrix checks shared across the package."""
+"""Exception types, shared matrix checks and the value types' storage rule."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -90,3 +91,27 @@ def completeness_deviation(*ops: np.ndarray) -> float:
     """max |sum_k K_k^dag K_k - 1|; for a single operator, its unitarity defect."""
     total = sum(k.conj().T @ k for k in ops)
     return float(np.max(np.abs(total - np.eye(total.shape[0]))))
+
+
+def freeze(obj, **fields) -> None:
+    """Set each field of the frozen dataclass ``obj``, arrays read-only.
+
+    Arrays directly in a field, or in a tuple field, lose their writeable
+    flag.  Callers pass fresh copies, so their own inputs stay writable.
+    """
+    for name, value in fields.items():
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        object.__setattr__(obj, name, value)
+
+
+@dataclass(frozen=True)
+class SquareMatrix:
+    """Base of the value types that hold one square ``matrix``."""
+
+    matrix: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]

@@ -38,28 +38,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ValidationError, require_finite, require_hermitian,
-                     square_matrix)
+from .errors import (IntegrationError, SquareMatrix, ValidationError, freeze,
+                     require_finite, require_hermitian, square_matrix)
 
 HERMITICITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class HermitianMatrix:
+class HermitianMatrix(SquareMatrix):
     """Complex square matrix validated against H = H-dagger."""
-
-    matrix: np.ndarray
 
     def __post_init__(self):
         m = square_matrix(self.matrix, complex)
         require_hermitian(m, HERMITICITY_TOL)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+        freeze(self, matrix=m)
 
 
 @dataclass(frozen=True)
@@ -78,8 +71,7 @@ class StateVector:
                 raise ValidationError(
                     f"state norm {nrm!r} deviates from 1 by more than "
                     f"{NORMALIZATION_TOL:.0e}", norm=nrm)
-        v.flags.writeable = False
-        object.__setattr__(self, "psi", v)
+        freeze(self, psi=v)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.psi))
@@ -98,10 +90,7 @@ class PhaseSpaceState:
         if q.shape != p.shape:
             raise ValidationError(
                 f"q and p must have equal length, got {q.shape} and {p.shape}")
-        q.flags.writeable = False
-        p.flags.writeable = False
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        freeze(self, q=q, p=p)
 
 
 @dataclass(frozen=True)
@@ -121,10 +110,7 @@ class SHSystem:
             raise ValidationError("A must be exactly symmetric as stored")
         if not np.array_equal(b, -b.T):
             raise ValidationError("B must be exactly antisymmetric as stored")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        freeze(self, a=a, b=b)
 
     @property
     def n(self) -> int:
@@ -185,16 +171,12 @@ class PhaseTrajectory:
     p: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        p = np.asarray(self.p, dtype=float)
+        t = np.array(self.times, dtype=float)
+        q = np.array(self.q, dtype=float)
+        p = np.array(self.p, dtype=float)
         if not (len(t) == q.shape[0] == p.shape[0]):
             raise ValidationError("times, q, p must agree in sample count")
-        for arr in (t, q, p):
-            arr.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        freeze(self, times=t, q=q, p=p)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -254,21 +236,18 @@ def sh_integrate(system: SHSystem, state: PhaseSpaceState, dt: float,
     sample_stride > 1 records every stride-th step (the first and last steps
     are always included).  The stride is taken as one matrix, step**stride,
     so each recorded sample costs one matrix-vector product; stride 1 does
-    exactly the products of a step-by-step loop.
+    exactly the products of a step-by-step loop.  A method that blows up
+    (rk4 at too large a step) raises IntegrationError naming the first
+    recorded step whose sample is not finite.
     """
     if dt <= 0.0 or duration <= 0.0:
         raise ValueError("dt and duration must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
+    if method not in ("strang", "rk4"):
+        raise ValueError(f"unknown method {method!r}")
     n_steps = max(1, int(round(duration / dt)))
     dt = duration / n_steps
-    if method == "strang":
-        step = _strang_step_matrix(system, dt)
-    elif method == "rk4":
-        step = _rk4_step_matrix(system, dt)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
     stride = min(sample_stride, n_steps)
     jumps, tail = divmod(n_steps, stride)
     idx = stride * np.arange(jumps + 1)
@@ -276,11 +255,20 @@ def sh_integrate(system: SHSystem, state: PhaseSpaceState, dt: float,
         idx = np.append(idx, n_steps)
     samples = np.empty((len(idx), 2 * system.n))
     samples[0] = np.concatenate([state.q, state.p])
-    jump = np.linalg.matrix_power(step, stride)
-    for k in range(1, jumps + 1):
-        samples[k] = jump @ samples[k - 1]
-    if tail:
-        samples[-1] = np.linalg.matrix_power(step, tail) @ samples[-2]
+    # Overflow is detected below, from the samples, rather than warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = (_strang_step_matrix if method == "strang"
+                else _rk4_step_matrix)(system, dt)
+        jump = np.linalg.matrix_power(step, stride)
+        for k in range(1, jumps + 1):
+            samples[k] = jump @ samples[k - 1]
+        if tail:
+            samples[-1] = np.linalg.matrix_power(step, tail) @ samples[-2]
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        step_index = int(idx[bad[0]])
+        raise IntegrationError(
+            f"state became non-finite by step {step_index}", step=step_index)
     n = system.n
     return PhaseTrajectory(dt * idx, samples[:, :n], samples[:, n:])
 

@@ -16,11 +16,13 @@ over the entries of M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, require_finite, square_matrix
+from .errors import (SquareMatrix, ValidationError, freeze, require_finite,
+                     square_matrix)
 from .lp import MAX_PIVOTS, find_nonnegative_solution
 
 SUM_TOL = 1e-12          # distributions and matrix columns must sum to 1 within this
@@ -57,8 +59,7 @@ class Distribution:
             raise ValidationError(
                 f"distribution sums to {total!r}, off by more than {SUM_TOL:.0e}",
                 total=total)
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        freeze(self, p=p)
 
     @property
     def n(self) -> int:
@@ -66,10 +67,9 @@ class Distribution:
 
 
 @dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(SquareMatrix):
     """Column-stochastic matrix stamped with target time t and source time t0."""
 
-    matrix: np.ndarray
     t: float = 1.0
     t0: float = 0.0
 
@@ -85,12 +85,7 @@ class TransitionMatrix:
                 f"(negative entries: {bad_neg}, bad sums: {bad_sum})",
                 negative_columns=bad_neg, sum_columns=bad_sum,
                 column_sums=sums.tolist())
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+        freeze(self, matrix=m)
 
 
 @dataclass(frozen=True)
@@ -100,6 +95,7 @@ class IndivisibleProcess:
     targets are the times the process can speak about at all; conditioning
     times (a subset) are the only lawful source stamps.  Lookups demand an
     exact key match: absence of a pair is information, not an accident.
+    ``transitions`` is a read-only copy of the mapping given.
     """
 
     n: int
@@ -111,8 +107,6 @@ class IndivisibleProcess:
     def __post_init__(self):
         targets = tuple(float(x) for x in self.targets)
         conditioning = tuple(float(x) for x in self.conditioning)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "conditioning", conditioning)
         missing = [c for c in conditioning if c not in targets]
         if missing:
             raise ValidationError(
@@ -133,7 +127,8 @@ class IndivisibleProcess:
         if self.initial.n != self.n:
             raise ValidationError(
                 f"initial distribution has size {self.initial.n}, expected {self.n}")
-        object.__setattr__(self, "transitions", trans)
+        freeze(self, targets=targets, conditioning=conditioning,
+               transitions=MappingProxyType(trans))
 
     def transition(self, t: float, t0: float) -> TransitionMatrix:
         key = (float(t), float(t0))

@@ -329,6 +329,9 @@ def test_non_finite_input_exits_1(tmp_path, capsys, case):
 
 
 PROCESS_OK = PROCESS_TEXT % ("[[1.0, 0.0], [0.0, 1.0]]", "[1.0, 0.0]")
+ONE_TRANSITION = ('{"n": 2, "targets": [0.0, 1.0], "conditioning": [0.0], '
+                  '"transitions": [{"t": 1.0, "t0": 0.0, '
+                  '"matrix": [[1.0, 0.0], [0.0, 1.0]]}], "initial": [1.0, 0.0]}')
 HERMITIAN_2 = {"n": 2, "re": [[0.3, 0.1], [0.1, -0.2]],
                "im": [[0.0, -0.4], [0.4, 0.0]]}
 HERMITIAN_2_TEXT = json.dumps(HERMITIAN_2)
@@ -413,6 +416,14 @@ OUT_OF_RANGE_CASES = {
                                   ["--t", "nan"], "--t"),
     "divisibility-t0-nan": ("divisibility", PROCESS_OK,
                             ["--all-pairs", "--t0", "nan"], "--t0"),
+    # one transition from t0: nothing to compare, on either path
+    "divisibility-one-transition": ("divisibility", ONE_TRANSITION, [],
+                                    "transitions"),
+    "divisibility-all-pairs-one-transition": ("divisibility", ONE_TRANSITION,
+                                              ["--all-pairs"], "transitions"),
+    "divisibility-all-pairs-empty-t0": ("divisibility", PROCESS_OK,
+                                        ["--all-pairs", "--t0", "1.0"],
+                                        "transitions"),
 }
 
 
@@ -427,6 +438,22 @@ def test_out_of_range_input_exits_1(tmp_path, capsys, case):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["field"] == field
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sh_sim_blow_up_exits_1_naming_the_step(tmp_path, capsys):
+    """RK4 at dt 5 overflows by the first recorded step; numpy stays quiet."""
+    inp = write(tmp_path / "h.json", {"n": 2, "re": [[1.0, 0.0], [0.0, -1.0]],
+                                      "im": [[0.0, 0.0], [0.0, 0.0]]})
+    out = tmp_path / "report.json"
+    code = run(["sh-sim", "--input", inp, "--output", out, "--method", "rk4",
+                "--dt", "5", "--T", "100000", "--stride", "1000"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "<integration>"
+    assert "step 1000" in err["error"]["message"]
+    assert not out.exists()
+    assert not out.with_suffix(".csv").exists()
 
 
 FRAMING_CASES = {

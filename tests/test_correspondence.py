@@ -246,17 +246,25 @@ def test_dilation_of_identity_fixes_system_sector():
 
 def test_dilation_is_unitary_and_reproduces_gamma():
     rng = np.random.default_rng(8)
-    cases = [FLAT_2, FIXTURE_3]
-    for n in (2, 3, 4):
+    cases = [(FLAT_2, 0.0), (FIXTURE_3, 0.0), (np.ones((1, 1)), 0.0),
+             (np.eye(4)[[2, 0, 3, 1]], 0.0)]
+    for n in (2, 3, 4, 10):
         m = rng.uniform(0.05, 1.0, size=(n, n))
-        cases.append(m / m.sum(axis=0, keepdims=True))
-    for gamma_arr in cases:
+        gamma_arr = m / m.sum(axis=0, keepdims=True)
+        cases += [(gamma_arr, 0.0), (gamma_arr, 2.0 * np.pi)]
+    for gamma_arr, phase_range in cases:
         n = gamma_arr.shape[0]
-        theta = potential_from_transition(TransitionMatrix(gamma_arr),
-                                          np.zeros((n, n)))
-        dil = stinespring_dilate(kraus_from_potential(theta))
+        phases = rng.uniform(0.0, phase_range, size=(n, n))
+        theta = potential_from_transition(TransitionMatrix(gamma_arr), phases)
+        kraus = kraus_from_potential(theta)
+        dil = stinespring_dilate(kraus)
         assert dil.n == n * n
         assert dil.n <= n ** 3
+        # column j*N is V|j> = (K_j|j>) x |j>, and U is N blocks of N x N
+        for j, k in enumerate(kraus.operators):
+            assert np.array_equal(dil.matrix[:, j * n],
+                                  np.kron(k[:, j], np.eye(n)[j]))
+        assert np.count_nonzero(dil.matrix) <= n ** 3
         np.testing.assert_allclose(dil.matrix.conj().T @ dil.matrix,
                                    np.eye(n * n), atol=1e-10)
         np.testing.assert_allclose(dilation_marginal(dil, n), gamma_arr,
