@@ -28,6 +28,7 @@ from .complex_repr import (
 from .correspondence import (
     DensityMatrix,
     KrausSet,
+    PolygonViolation,
     PotentialMatrix,
     UnistochasticResult,
     UnitaryMatrix,
@@ -38,11 +39,11 @@ from .correspondence import (
     hamiltonian_from_evolution,
     kraus_from_potential,
     orthostochastic_check,
+    polygon_certificate,
     potential_from_transition,
     quantum_to_stochastic,
     rank_one_factor,
     stinespring_dilate,
-    triangle_certificate,
     unistochastic_search,
 )
 from .embed import (

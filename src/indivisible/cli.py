@@ -158,11 +158,25 @@ def _cmd_sh_sim(args) -> int:
     state0 = osc.sh_split(psi0)
     traj = osc.sh_integrate(system, state0, args.dt, args.duration,
                             method=args.method, sample_stride=args.stride)
-    energies = osc.sh_energy(system, traj)
-    drift = float(np.max(np.abs(energies - energies[0])))
-    expected = osc.exact_evolve(h, psi0, traj.times)
-    got = osc.sh_recombine(traj)
-    deviation = float(np.max(np.linalg.norm(got - expected, axis=1)))
+    # Finite samples can still be too large to square: overflow is detected
+    # from the three reported figures, rather than warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = osc.sh_energy(system, traj)
+        drifts = np.abs(energies - energies[0])
+        expected = osc.exact_evolve(h, psi0, traj.times)
+        misses = np.linalg.norm(osc.sh_recombine(traj) - expected, axis=1)
+    initial = float(energies[0])
+    drift = float(np.max(drifts))
+    deviation = float(np.max(misses))
+    for name, value, per_sample in (("initial energy", initial, energies),
+                                    ("energy drift", drift, drifts),
+                                    ("deviation from exact evolution",
+                                     deviation, misses)):
+        if not math.isfinite(value):
+            first = int(np.flatnonzero(~np.isfinite(per_sample))[0])
+            step = round(float(traj.times[first]) / args.dt)
+            raise IntegrationError(f"{name} became non-finite by step {step}",
+                                   step=step)
     header = (["t"] + [f"q_{i + 1}" for i in range(h.n)]
               + [f"p_{i + 1}" for i in range(h.n)])
     ser.write_csv(_csv_path(args), header,
@@ -174,7 +188,7 @@ def _cmd_sh_sim(args) -> int:
         "method": args.method,
         "stride": args.stride,
         "samples": len(traj),
-        "energy": {"initial": float(energies[0]),
+        "energy": {"initial": initial,
                    "max_drift": drift},
         "max_deviation_from_exact": deviation,
         "tolerances": {"hermiticity": osc.HERMITICITY_TOL,

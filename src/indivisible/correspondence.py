@@ -7,8 +7,11 @@ the other way means finding phases phi such that
 
 has orthonormal rows (Theta Theta^dag = 1).  Matrices admitting such phases
 are unistochastic; with signs only (phi in {0, pi}) they are orthostochastic.
-Neither property is automatic for N > 2, so both searches can fail, and for
-N = 3 a triangle inequality gives a definitive refusal certificate.
+Neither property is automatic for N > 2, so both searches can fail.  A
+definitive refusal comes, at every N, from the polygon ("bracelet")
+inequalities: two columns (or two rows) of Theta are orthogonal only if the
+sides sqrt(Gamma_ij Gamma_ik) close into a polygon, the unitarity triangles
+of N = 3.
 
 Any potential matrix Theta, unistochastic or not, yields Kraus operators
 (K_beta = column beta of Theta, placed in column beta) satisfying the
@@ -161,11 +164,39 @@ def potential_from_transition(gamma: TransitionMatrix,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class PolygonViolation:
+    """Two columns (axis "columns") or rows ("rows") that no phases make orthogonal.
+
+    sides[i] = sqrt(Gamma_ij Gamma_ik) for the pair (j, k) along the axis;
+    excess = 2 max(sides) - sum(sides), the amount by which the longest side
+    exceeds the sum of the rest, so the sides cannot close into a polygon.
+    """
+
+    axis: str
+    pair: tuple[int, int]
+    sides: tuple[float, ...]
+    excess: float
+
+    def describe(self) -> str:
+        sides = np.array(self.sides)
+        longest = int(np.argmax(sides))
+        rest = float(sides.sum() - sides[longest])
+        across = "row" if self.axis == "columns" else "column"
+        shape = "triangle" if len(sides) == 3 else "polygon"
+        j, k = self.pair
+        return (f"{self.axis} ({j}, {k}): side {float(sides[longest]):.6f} at "
+                f"{across} {longest} exceeds the sum {rest:.6f} of the remaining "
+                f"sides; no phase assignment closes the {shape}")
+
+
+@dataclass(frozen=True)
 class UnistochasticResult:
     """status "found" | "not_found" | "not_unistochastic".
 
-    "not_found" is evidence, not proof: the search ran out of attempts.
-    "not_unistochastic" is definitive and carries its certificate.
+    "not_found" is evidence, not proof: the search ran out of attempts on a
+    Gamma that passes every polygon inequality.
+    "not_unistochastic" is definitive and carries its certificate (and, when
+    a polygon inequality fails, the violation as data).
     residual is the best Frobenius norm of Theta Theta^dag - 1 seen (None when
     the search was refused outright).
     """
@@ -174,32 +205,32 @@ class UnistochasticResult:
     unitary: UnitaryMatrix | None = None
     residual: float | None = None
     certificate: str | None = None
+    violation: PolygonViolation | None = None
 
 
 def _row_sum_deviation(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix.sum(axis=1) - 1.0)))
 
 
-def triangle_certificate(gamma: np.ndarray) -> str | None:
-    """Definitive non-unistochasticity test for N = 3.
+def polygon_certificate(gamma: np.ndarray) -> PolygonViolation | None:
+    """Definitive non-unistochasticity test for every N.
 
-    Column orthogonality of Theta requires the three side lengths
-    sqrt(Gamma_ij Gamma_ik) to close into a triangle; if one side exceeds the
-    sum of the other two for some column pair (j, k), no phases exist.
+    Columns j and k of a unitary with moduli sqrt(Gamma) are orthogonal only
+    if the sides sqrt(Gamma_ij Gamma_ik) close into a polygon: the longest
+    is at most the sum of the rest.  Rows obey the same rule, since
+    U U^dag = U^dag U = 1.  Column pairs are checked before row pairs, each
+    in lexicographic order, and the first pair whose excess passes 1e-12 is
+    returned; at N = 3 these are the unitarity triangles.
     """
-    n = gamma.shape[0]
-    if n != 3:
-        return None
-    for j in range(3):
-        for k in range(j + 1, 3):
-            sides = np.sqrt(gamma[:, j] * gamma[:, k])
-            longest = int(np.argmax(sides))
-            rest = float(sides.sum() - sides[longest])
-            if float(sides[longest]) > rest + 1e-12:
-                return (
-                    f"columns ({j}, {k}): side {float(sides[longest]):.6f} at row "
-                    f"{longest} exceeds the sum {rest:.6f} of the remaining sides; "
-                    "no phase assignment closes the triangle")
+    for axis, g in (("columns", gamma), ("rows", gamma.T)):
+        # sides[i, j, k] = sqrt(g_ij g_ik); excess[j, k] over the first index
+        sides = np.sqrt(g[:, :, None] * g[:, None, :])
+        excess = 2.0 * sides.max(axis=0) - sides.sum(axis=0)
+        j, k = np.nonzero(np.triu(excess > 1e-12, 1))
+        if j.size:
+            j, k = int(j[0]), int(k[0])
+            return PolygonViolation(axis, (j, k), tuple(sides[:, j, k].tolist()),
+                                    float(excess[j, k]))
     return None
 
 
@@ -274,11 +305,14 @@ def unistochastic_search(gamma: TransitionMatrix,
                          seed: int = SEARCH_SEED) -> UnistochasticResult:
     """Look for phases making sqrt(Gamma) with phases unitary.
 
-    The first start is the zero phase matrix (so matrices that are already
-    unistochastic "as printed", like permutations, come back verbatim); the
-    other SEARCH_RESTARTS - 1 starts draw phases uniformly from [0, 2pi).
-    Moduli are fixed by construction, so any accepted candidate reproduces
-    Gamma exactly.
+    A Gamma that is not doubly stochastic, or that fails a polygon
+    inequality (polygon_certificate), is refused as "not_unistochastic"
+    before any search runs, so "not_found" only ever means a Gamma that
+    passes every polygon inequality.  The first start is the zero phase
+    matrix (so matrices that are already unistochastic "as printed", like
+    permutations, come back verbatim); the other SEARCH_RESTARTS - 1 starts
+    draw phases uniformly from [0, 2pi).  Moduli are fixed by construction,
+    so any accepted candidate reproduces Gamma exactly.
     """
     g = gamma.matrix
     row_dev = _row_sum_deviation(g)
@@ -287,9 +321,11 @@ def unistochastic_search(gamma: TransitionMatrix,
             "not_unistochastic",
             certificate=(f"not doubly stochastic: max row-sum deviation "
                          f"{row_dev:.3e}; unitarity is impossible"))
-    cert = triangle_certificate(g)
-    if cert is not None:
-        return UnistochasticResult("not_unistochastic", certificate=cert)
+    violation = polygon_certificate(g)
+    if violation is not None:
+        return UnistochasticResult("not_unistochastic",
+                                   certificate=violation.describe(),
+                                   violation=violation)
 
     r = np.sqrt(g)
     n = gamma.n

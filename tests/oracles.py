@@ -115,6 +115,26 @@ def direct_entry_below_margin(gamma_t: np.ndarray, gamma_tp: np.ndarray,
     return bool((gamma_t @ inv)[i, j] < -margin)
 
 
+def polygon_excess(gamma, axis: str, pair) -> tuple[list, float]:
+    """Sides sqrt(gamma_ij gamma_ik) of the column pair (j, k) (axis
+    "columns") or of the row pair (axis "rows"), and 2 max - sum of them:
+    how far the longest side exceeds the sum of the others."""
+    j, k = pair
+    n = len(gamma)
+    sides = []
+    for i in range(n):
+        if axis == "columns":
+            sides.append(math.sqrt(float(gamma[i][j]) * float(gamma[i][k])))
+        else:
+            sides.append(math.sqrt(float(gamma[j][i]) * float(gamma[k][i])))
+    longest = 0.0
+    total = 0.0
+    for side in sides:
+        longest = max(longest, side)
+        total += side
+    return sides, 2.0 * longest - total
+
+
 def qubit_rotation_gamma(theta: float) -> np.ndarray:
     """Squared moduli of exp(-i * theta * sigma_x): the working 2x2 family."""
     c, s = np.cos(theta) ** 2, np.sin(theta) ** 2

@@ -201,6 +201,22 @@ def test_unistochastic_certificate_is_reported(tmp_path):
     assert "triangle" in report["certificate"]
 
 
+def test_unistochastic_refuses_a_4x4_mixture_without_searching(tmp_path):
+    """0.5 I + 0.3 P + 0.2 P^2 for the 4-cycle P: columns 0 and 1 share rows
+    1 and 2 only, with sides sqrt(0.15) and sqrt(0.06)."""
+    p = np.roll(np.eye(4), 1, axis=0)
+    gamma = 0.5 * np.eye(4) + 0.3 * p + 0.2 * p @ p
+    mix = write(tmp_path / "mix.json", {"matrix": gamma.tolist()})
+    out = tmp_path / "uni.json"
+    assert run(["unistochastic", "--input", mix, "--output", out]) == 0
+    report = json.loads(out.read_text())
+    assert report["status"] == "not_unistochastic"
+    assert report["residual"] is None
+    assert report["unitary"] is None
+    assert "polygon" in report["certificate"]
+    assert report["certificate"].startswith("columns (0, 1): ")
+
+
 def test_dilate_reports_residuals(tmp_path):
     fix = write(tmp_path / "fix.json", {
         "matrix": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]})
@@ -452,6 +468,23 @@ def test_sh_sim_blow_up_exits_1_naming_the_step(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["field"] == "<integration>"
     assert "step 1000" in err["error"]["message"]
+    assert not out.exists()
+    assert not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sh_sim_overflow_past_finite_samples_exits_1(tmp_path, capsys):
+    """RK4 at dt 5 for 150 steps keeps every sample finite (up to about
+    1e200), but the energies square them and overflow from step 116."""
+    inp = write(tmp_path / "h.json", {"n": 2, "re": [[1.0, 0.0], [0.0, -1.0]],
+                                      "im": [[0.0, 0.0], [0.0, 0.0]]})
+    out = tmp_path / "report.json"
+    code = run(["sh-sim", "--input", inp, "--output", out, "--method", "rk4",
+                "--dt", "5", "--T", "750", "--stride", "1"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["field"] == "<integration>"
+    assert err["error"]["message"] == "energy drift became non-finite by step 116"
     assert not out.exists()
     assert not out.with_suffix(".csv").exists()
 

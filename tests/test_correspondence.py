@@ -4,6 +4,7 @@ import pytest
 from indivisible.correspondence import (
     DensityMatrix,
     KrausSet,
+    PolygonViolation,
     PotentialMatrix,
     UnitaryMatrix,
     apply_kraus,
@@ -13,11 +14,11 @@ from indivisible.correspondence import (
     hamiltonian_from_evolution,
     kraus_from_potential,
     orthostochastic_check,
+    polygon_certificate,
     potential_from_transition,
     quantum_to_stochastic,
     rank_one_factor,
     stinespring_dilate,
-    triangle_certificate,
     unistochastic_search,
 )
 from indivisible.errors import (
@@ -26,7 +27,7 @@ from indivisible.errors import (
     ValidationError,
 )
 from indivisible.stochastic import Distribution, TransitionMatrix
-from oracles import random_orthogonal, random_unitary
+from oracles import polygon_excess, random_orthogonal, random_unitary
 
 FIXTURE_3 = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 FLAT_2 = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -127,12 +128,111 @@ def test_unistochastic_fixture_yields_triangle_certificate():
     result = unistochastic_search(TransitionMatrix(FIXTURE_3))
     assert result.status == "not_unistochastic"
     assert "triangle" in result.certificate or "sides" in result.certificate
-    assert triangle_certificate(FIXTURE_3) is not None
+    assert polygon_certificate(FIXTURE_3) is not None
 
 
 def test_triangle_certificate_passes_flat_3x3():
     flat = np.full((3, 3), 1.0 / 3.0)
-    assert triangle_certificate(flat) is None
+    assert polygon_certificate(flat) is None
+
+
+FIXTURE_3_CERTIFICATE = (
+    "columns (0, 1): side 0.500000 at row 0 exceeds the sum 0.000000 of the "
+    "remaining sides; no phase assignment closes the triangle")
+
+
+def permutation_mixture(n, rng):
+    """Convex mixture of three random n x n permutation matrices."""
+    eye = np.eye(n)
+    return sum(w * eye[rng.permutation(n)] for w in rng.dirichlet(np.ones(3)))
+
+
+def column_only_violation(x):
+    """5 x 5 doubly stochastic Gamma whose columns 0 and 1 share row 0 alone
+    (one nonzero side, x), while every row pair has at least three sides of
+    comparable length, so no row polygon fails."""
+    y = (1.0 - x) / 2.0
+    gamma = np.empty((5, 5))
+    gamma[:, 0] = [x, y, y, 0.0, 0.0]
+    gamma[:, 1] = [x, 0.0, 0.0, y, y]
+    gamma[:, 2:] = (1.0 - gamma[:, :2].sum(axis=1, keepdims=True)) / 3.0
+    return gamma
+
+
+def oracle_violations(gamma):
+    """Every (axis, pair) whose oracle excess passes 1e-12, in check order."""
+    n = len(gamma)
+    return [(axis, (j, k)) for axis in ("columns", "rows")
+            for j in range(n) for k in range(j + 1, n)
+            if polygon_excess(gamma, axis, (j, k))[1] > 1e-12]
+
+
+def test_fixture_3_certificate_bytes_are_pinned():
+    result = unistochastic_search(TransitionMatrix(FIXTURE_3))
+    assert result.certificate == FIXTURE_3_CERTIFICATE
+    assert result.violation == polygon_certificate(FIXTURE_3)
+    assert result.violation.describe() == FIXTURE_3_CERTIFICATE
+    assert result.residual is None
+
+
+def test_polygon_certificate_agrees_with_the_oracle_on_permutation_mixtures():
+    """The first violated pair, columns before rows, with the oracle's sides."""
+    rng = np.random.default_rng(2)
+    for n in range(3, 9):
+        refused = 0
+        for _ in range(40):
+            gamma = permutation_mixture(n, rng)
+            violation = polygon_certificate(gamma)
+            expected = oracle_violations(gamma)
+            if violation is None:
+                assert expected == []
+                continue
+            refused += 1
+            assert isinstance(violation, PolygonViolation)
+            assert (violation.axis, violation.pair) == expected[0]
+            assert violation.excess > 1e-12
+            sides, excess = polygon_excess(gamma, violation.axis, violation.pair)
+            assert len(violation.sides) == n
+            assert max(abs(a - b) for a, b in zip(violation.sides, sides)) <= 1e-15
+            assert abs(violation.excess - excess) <= 1e-15
+        assert refused > 0, n
+
+
+@pytest.mark.parametrize("x", [0.1, 0.2, 0.3])
+def test_transpose_of_a_column_violation_is_a_row_violation(x):
+    gamma = column_only_violation(x)
+    assert not any(axis == "rows" for axis, _ in oracle_violations(gamma))
+    by_columns = polygon_certificate(gamma)
+    by_rows = polygon_certificate(gamma.T)
+    assert by_columns.axis == "columns" and by_rows.axis == "rows"
+    assert by_rows.pair == by_columns.pair == (0, 1)
+    assert by_rows.sides == by_columns.sides
+    assert by_rows.excess == by_columns.excess == pytest.approx(x, abs=1e-15)
+    result = unistochastic_search(TransitionMatrix(gamma.T))
+    assert result.status == "not_unistochastic" and result.residual is None
+    assert result.violation == by_rows
+    assert result.certificate.startswith("rows (0, 1): side ")
+    assert " at column 0 " in result.certificate
+    assert result.certificate.endswith("closes the polygon")
+
+
+def test_haar_moduli_are_never_refused():
+    rng = np.random.default_rng(4)
+    for n in range(2, 9):
+        for _ in range(300):
+            gamma = np.abs(random_unitary(n, rng)) ** 2
+            assert polygon_certificate(gamma) is None, n
+
+
+def test_refusals_at_n_4_and_up_skip_the_search():
+    rng = np.random.default_rng(6)
+    for n in range(4, 8):
+        gamma = permutation_mixture(n, rng)
+        result = unistochastic_search(TransitionMatrix(gamma))
+        assert result.status == "not_unistochastic"
+        assert result.residual is None and result.unitary is None
+        assert result.violation == polygon_certificate(gamma)
+        assert "polygon" in result.certificate
 
 
 def test_unistochastic_rejects_non_doubly_stochastic():
