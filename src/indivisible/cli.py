@@ -26,7 +26,7 @@ from . import oscillator as osc
 from . import serialize as ser
 from . import stochastic as stoch
 from .errors import (InputFormatError, IntegrationError, UnsupportedSizeError,
-                     ValidationError, completeness_deviation)
+                     ValidationError)
 
 SCHEMA_VERSION = 1
 
@@ -232,7 +232,7 @@ def _verdict_payload(verdict: stoch.DivisibilityVerdict, t: float, tp: float) ->
         "status": verdict.status,
         "residual": verdict.residual,
         "witness": None if verdict.witness is None
-        else verdict.witness.matrix.tolist(),
+        else verdict.witness.matrix,
     }
     if verdict.certificate is not None:
         payload["certificate"] = verdict.certificate
@@ -288,7 +288,7 @@ def _cmd_correspond(args) -> int:
         "n": u.n,
         "t": u.t,
         "t0": u.t0,
-        "gamma": gamma.matrix.tolist(),
+        "gamma": gamma.matrix,
         "row_sum_deviation": row_dev,
         "column_sum_deviation": col_dev,
         "tolerances": {"unitarity": corr.UNITARITY_TOL,
@@ -341,18 +341,16 @@ def _cmd_dilate(args) -> int:
         phases = np.zeros((gamma.n, gamma.n))
     theta = corr.potential_from_transition(gamma, phases)
     kraus = corr.kraus_from_potential(theta)
-    identity_dev = completeness_deviation(*kraus.operators)
     u = corr.stinespring_dilate(kraus)
     marginal = corr.dilation_marginal(u, gamma.n)
     marginal_dev = float(np.max(np.abs(marginal - gamma.matrix)))
-    unitarity_dev = completeness_deviation(u.matrix)
     _emit(args, {
         "n": gamma.n,
         "dilation_dim": u.n,
         "unitary": ser.complex_matrix_payload(u.matrix),
-        "kraus_identity_residual": identity_dev,
+        "kraus_identity_residual": kraus.deviation,
         "marginal_residual": marginal_dev,
-        "unitarity_residual": unitarity_dev,
+        "unitarity_residual": u.deviation,
         "tolerances": {"kraus_identity": corr.KRAUS_IDENTITY_TOL,
                        "unitarity": corr.UNITARITY_TOL},
     })

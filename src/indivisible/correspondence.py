@@ -24,7 +24,7 @@ a symmetric difference quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,10 +53,15 @@ ORTHO_MAX_SIZE = 4
 
 @dataclass(frozen=True)
 class UnitaryMatrix(SquareMatrix):
-    """Unitary with time stamps: the evolution from t0 to t."""
+    """Unitary with time stamps: the evolution from t0 to t.
+
+    ``deviation`` is the unitarity defect max |U^dag U - 1| measured when the
+    matrix was validated.
+    """
 
     t: float = 1.0
     t0: float = 0.0
+    deviation: float = field(init=False)
 
     def __post_init__(self):
         m = square_matrix(self.matrix, complex)
@@ -65,7 +70,7 @@ class UnitaryMatrix(SquareMatrix):
             raise ValidationError(
                 f"matrix is not unitary: max |U^dag U - 1| = {dev:.3e}",
                 deviation=dev)
-        freeze(self, matrix=m)
+        freeze(self, matrix=m, deviation=dev)
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,14 @@ class PotentialMatrix(SquareMatrix):
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Operators K_beta, each supported on column beta only, summing to identity."""
+    """Operators K_beta, each supported on column beta only, summing to identity.
+
+    ``deviation`` is the completeness defect max |sum K^dag K - 1| measured
+    when the set was validated.
+    """
 
     operators: tuple
+    deviation: float = field(init=False)
 
     def __post_init__(self):
         ops = tuple(np.array(k, dtype=complex) for k in self.operators)
@@ -110,7 +120,7 @@ class KrausSet:
             raise ValidationError(
                 f"completeness fails: max |sum K^dag K - 1| = {dev:.3e}",
                 deviation=dev)
-        freeze(self, operators=ops)
+        freeze(self, operators=ops, deviation=dev)
 
     @property
     def n(self) -> int:

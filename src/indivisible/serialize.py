@@ -5,9 +5,11 @@ significant digits (lossless double round trip), and files always end with a
 newline.  Identical inputs therefore produce byte-identical files, which the
 command-line layer relies on for its determinism guarantee.
 
-Floats are formatted in bulk: a JSON list of finite Python floats, and the
-whole body of a CSV, go through one ``%`` against a template of ``%.17g``
-fields, which gives the bytes of formatting each float on its own.
+Floats are formatted in bulk.  A finite, non-empty 1-D or 2-D float64 array
+is one ``%`` against a template for the whole array: each exact zero is the
+literal ``0`` (``-0`` when its sign bit is set) and every other entry a
+``%.17g`` field.  The whole body of a CSV is one ``%`` as well.  Both give the
+bytes of formatting each float on its own.
 
 Parsing raises InputFormatError with the dotted path of the offending field,
 so callers can report exactly what is wrong with a file.
@@ -54,7 +56,11 @@ def _write(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out)
+        if (obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size
+                and np.isfinite(obj).all()):
+            out.append(_array_text(obj))
+        else:  # NaN and inf reach format_float here, which names them
+            _write(obj.tolist(), out)
     elif isinstance(obj, dict):
         out.append("{")
         for idx, key in enumerate(sorted(obj)):
@@ -67,13 +73,6 @@ def _write(obj: Any, out: list[str]) -> None:
             _write(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
-        # Only finite Python floats: one % for the row; anything else (ints,
-        # numpy scalars, None, nested lists, NaN) takes the per-item path.
-        if (frozenset((float,)).issuperset(map(type, obj))
-                and all(map(math.isfinite, obj))):
-            out.append(("[" + ",".join([FLOAT_FORMAT] * len(obj)) + "]")
-                       % tuple(obj))
-            return
         out.append("[")
         for idx, item in enumerate(obj):
             if idx:
@@ -82,6 +81,26 @@ def _write(obj: Any, out: list[str]) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _array_text(arr: np.ndarray) -> str:
+    """JSON text of a finite, non-empty 1-D or 2-D float64 array, one ``%``.
+
+    ``%.17g`` prints 0.0 and -0.0 as ``0`` and ``-0``, so exact zeros go into
+    the template as literals and only the other entries are formatted.
+    """
+    rows = arr.reshape(-1, arr.shape[-1])
+    zero = rows == 0.0
+    if zero.any():
+        pick = zero * (np.signbit(rows) + 1)  # 0: a field, 1: "0", 2: "-0"
+        fields = np.array([FLOAT_FORMAT, "0", "-0"], dtype=object)[pick].tolist()
+        body = "],[".join(map(",".join, fields))
+        values = rows[~zero].tolist()
+    else:
+        body = "],[".join([",".join([FLOAT_FORMAT] * rows.shape[1])] * len(rows))
+        values = rows.ravel().tolist()
+    template = "[" + body + "]" if arr.ndim == 1 else "[[" + body + "]]"
+    return template % tuple(values)
 
 
 def write_json(path: str | Path, obj: Any) -> None:
@@ -251,5 +270,10 @@ def parse_process(obj: Any, field: str = "<root>") -> IndivisibleProcess:
 
 
 def complex_matrix_payload(matrix: np.ndarray) -> dict:
+    """``{"re": ..., "im": ...}`` as two float arrays, for emission.
+
+    The parts are views of ``matrix``, not JSON lists: ``canonical_dumps``
+    writes each with one ``%``.  Parse the emitted text, not this payload.
+    """
     m = np.asarray(matrix)
-    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+    return {"re": m.real, "im": m.imag}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from indivisible import cli
+from indivisible import correspondence as corr
 from indivisible import oscillator as osc
 from indivisible import serialize as ser
 from indivisible import stochastic as stoch
@@ -227,6 +228,24 @@ def test_dilate_reports_residuals(tmp_path):
     assert report["unitarity_residual"] <= 1e-10
     assert report["marginal_residual"] <= 1e-10
     assert report["kraus_identity_residual"] <= 1e-12
+
+
+def test_dilate_report_holds_the_exact_unitary(tmp_path):
+    # The 100x100 unitary of a 10-state dilation is mostly exact zeros,
+    # written as literals; every entry must parse back bit for bit.
+    rng = np.random.default_rng(5)
+    g = rng.uniform(0.1, 1.0, size=(10, 10))
+    g /= g.sum(axis=0)
+    phases = rng.uniform(-math.pi, math.pi, size=(10, 10))
+    fix = write(tmp_path / "fix.json", {"matrix": g, "phases": phases})
+    out = tmp_path / "dil.json"
+    assert run(["dilate", "--input", fix, "--output", out]) == 0
+    report = json.loads(out.read_text())
+    gamma = stoch.TransitionMatrix(g)
+    u = corr.stinespring_dilate(corr.kraus_from_potential(
+        corr.potential_from_transition(gamma, phases))).matrix
+    assert report["unitary"] == {"re": u.real.tolist(), "im": u.imag.tolist()}
+    assert np.count_nonzero(u.real == 0.0) >= 9000
 
 
 def test_extract_hamiltonian(tmp_path):

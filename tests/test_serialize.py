@@ -134,6 +134,59 @@ def test_write_csv_non_finite_raises_as_reference(tmp_path, table, bad, at):
     assert not path.exists()
 
 
+# Arrays take their own bulk path: exact zeros drawn often, since they are
+# written as literals and the other entries as %.17g fields.
+ZEROED = FINITE | st.sampled_from([0.0, -0.0])
+NONZERO = FINITE.filter(lambda x: x != 0.0)
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=8)
+
+
+def _assert_dumps_as_reference(arr):
+    assert canonical_dumps(arr) == reference_dumps(arr.tolist())
+
+
+@given(hnp.arrays(np.float64, SHAPES, elements=ZEROED)
+       | hnp.arrays(np.float64, SHAPES, elements=NONZERO))
+def test_canonical_dumps_array_matches_per_element_reference(arr):
+    _assert_dumps_as_reference(arr)
+    assert canonical_dumps({"a": [arr]}) == reference_dumps({"a": [arr.tolist()]})
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                               max_side=8), elements=ZEROED),
+       st.data())
+def test_canonical_dumps_array_views_match_reference(re, data):
+    im = data.draw(hnp.arrays(np.float64, re.shape, elements=ZEROED))
+    z = np.empty(re.shape, complex)
+    z.real, z.imag = re, im  # keeps every sign of zero
+    for view in (z.real, z.imag, re.T, re[::2, ::-1], im[:, ::3], z.real[0]):
+        _assert_dumps_as_reference(view)
+
+
+@given(hnp.arrays(np.float64, SHAPES, elements=ZEROED), NON_FINITE,
+       st.integers(min_value=0))
+def test_canonical_dumps_array_non_finite_raises_as_reference(arr, bad, at):
+    arr.flat[at % arr.size] = bad
+    with pytest.raises(ValueError) as ours:
+        canonical_dumps(arr)
+    with pytest.raises(ValueError) as ref:
+        reference_dumps(arr.tolist())
+    assert str(ours.value) == str(ref.value)
+
+
+ANY_SHAPE = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+
+
+@given(hnp.arrays(np.float32, ANY_SHAPE, elements=st.floats(
+                      width=32, allow_nan=False, allow_infinity=False))
+       | hnp.arrays(np.int64, ANY_SHAPE) | hnp.arrays(np.bool_, ANY_SHAPE)
+       | hnp.arrays(np.float64, st.just(()) | hnp.array_shapes(
+                    min_dims=3, max_dims=3, min_side=1, max_side=3), elements=ZEROED)
+       | hnp.arrays(np.float64, st.sampled_from([(0,), (0, 3), (3, 0), (2, 0, 2)])))
+def test_canonical_dumps_other_arrays_take_the_per_item_path(arr):
+    _assert_dumps_as_reference(arr)
+
+
 def test_load_json_reports_problems(tmp_path):
     with pytest.raises(InputFormatError) as err:
         load_json(tmp_path / "missing.json")
@@ -166,7 +219,8 @@ def test_parse_real_matrix_errors_carry_dotted_paths():
 def test_parse_complex_matrix_round_trips_payload():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    parsed = parse_complex_matrix(complex_matrix_payload(m), "u")
+    text = canonical_dumps(complex_matrix_payload(m))
+    parsed = parse_complex_matrix(json.loads(text), "u")
     np.testing.assert_allclose(parsed, m, atol=0.0)
     with pytest.raises(InputFormatError) as err:
         parse_complex_matrix({"re": [[0.0]]}, "u")

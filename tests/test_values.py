@@ -11,6 +11,7 @@ import pytest
 from indivisible.correspondence import (DensityMatrix, KrausSet,
                                         PotentialMatrix, UnitaryMatrix)
 from indivisible.embed import Trajectory
+from indivisible.errors import completeness_deviation
 from indivisible.oscillator import (HermitianMatrix, PhaseSpaceState,
                                     PhaseTrajectory, SHSystem, StateVector)
 from indivisible.stochastic import (Distribution, IndivisibleProcess,
@@ -83,3 +84,17 @@ def test_values_copy_their_input_and_store_it_read_only(name):
         assert (5.0, 9.0) not in value.transitions
         with pytest.raises(TypeError):
             value.transitions[(5.0, 9.0)] = value.transitions[(1.0, 0.0)]
+
+
+# The residual each type measures while validating, against the same
+# function on what it stores.
+@pytest.mark.parametrize("value, measured", [
+    (UnitaryMatrix(HADAMARD.astype(complex)),
+     lambda u: completeness_deviation(u.matrix)),
+    (KrausSet([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+     lambda kraus: completeness_deviation(*kraus.operators)),
+], ids=["UnitaryMatrix", "KrausSet"])
+def test_measured_deviation_is_kept_read_only(value, measured):
+    assert value.deviation == measured(value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.deviation = 0.0
