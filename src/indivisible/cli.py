@@ -35,22 +35,31 @@ SCHEMA_VERSION = 1
 # Input catalogs and helpers
 # ---------------------------------------------------------------------------
 
-def _param(params: dict, key: str, default: float) -> float:
-    return ser._expect_number(params.get(key, default), f"params.{key}")
+def _law_params(params: dict, **defaults: float) -> list[float]:
+    """The law's parameters in the order of ``defaults``, each defaulted when
+    absent; InputFormatError at ``params.<key>`` for a key the law does not
+    take or a value that is not a finite number."""
+    for key in params:
+        if key not in defaults:
+            raise InputFormatError(
+                f"params.{key}", "not a parameter of this law; it takes "
+                + (", ".join(defaults) or "none"))
+    return [ser._expect_number(params.get(key, default), f"params.{key}")
+            for key, default in defaults.items()]
 
 
 def _law_registry(name: str, params: dict):
     if name == "harmonic":
-        k = _param(params, "k", 1.0)
+        k, = _law_params(params, k=1.0)
         return lambda x, y: -k * x
     if name == "damped":
-        k = _param(params, "k", 1.0)
-        c = _param(params, "c", 0.1)
+        k, c = _law_params(params, k=1.0, c=0.1)
         return lambda x, y: -k * x - c * y
     if name == "cubic":
-        k = _param(params, "k", 1.0)
+        k, = _law_params(params, k=1.0)
         return lambda x, y: -k * x ** 3
     if name == "free":
+        _law_params(params)
         return lambda x, y: 0.0
     raise InputFormatError("law", f"unknown law {name!r}; "
                            "expected harmonic, damped, cubic, or free")

@@ -210,3 +210,70 @@ def reference_csv(header, rows) -> str:
     for row in rows:
         lines.append(",".join(_reference_float(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+class ReferenceBlowup(RuntimeError):
+    """reference_rk4 stopped; ``step`` is the index of the offending step."""
+
+    def __init__(self, message: str, step: int):
+        super().__init__(message)
+        self.step = step
+
+
+def reference_rk4(f, x0: float, v0: float, dt: float,
+                  duration: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Textbook RK4 on x' = y, y' = f(x, y): every stage argument written out
+    and every sample stored into a numpy array as it is made.
+
+    The grid is round(duration / dt) equal steps landing on duration.
+    Returns (times, xs, ys); raises ReferenceBlowup with the step index when
+    the state stops being finite or the law overflows.
+    """
+    n = max(1, int(round(duration / dt)))
+    dt = duration / n
+    half = dt / 2.0
+    sixth = dt / 6.0
+    xs = np.empty(n + 1)
+    ys = np.empty(n + 1)
+    xs[0], ys[0] = x0, v0
+    x, y = x0, v0
+    try:
+        for k in range(n):
+            k1x = y
+            k1y = f(x, y)
+            k2x = y + half * k1y
+            k2y = f(x + half * k1x, y + half * k1y)
+            k3x = y + half * k2y
+            k3y = f(x + half * k2x, y + half * k2y)
+            k4x = y + dt * k3y
+            k4y = f(x + dt * k3x, y + dt * k3y)
+            sx = k1x + 2.0 * k2x
+            sx = sx + 2.0 * k3x
+            sx = sx + k4x
+            sy = k1y + 2.0 * k2y
+            sy = sy + 2.0 * k3y
+            sy = sy + k4y
+            x = x + sixth * sx
+            y = y + sixth * sy
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ReferenceBlowup(
+                    f"state became non-finite at step {k + 1}", step=k + 1)
+            xs[k + 1], ys[k + 1] = x, y
+    except OverflowError as exc:
+        raise ReferenceBlowup(
+            f"law overflowed at step {k + 1}: {exc}", step=k + 1) from None
+    times = dt * np.arange(n + 1)
+    return times, xs, ys
+
+
+def reference_reversal_probe(f, samples: int, seed: int, box: float,
+                             tol: float) -> tuple[bool, float]:
+    """max |f(x, -y) - f(x, y)| over ``samples`` points, each drawn on its
+    own as a size-2 uniform draw from [-box, box] and passed as numpy scalars;
+    returns (max <= tol, max)."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        x, y = rng.uniform(-box, box, size=2)
+        worst = max(worst, float(abs(f(x, -y) - f(x, y))))
+    return worst <= tol, worst

@@ -390,6 +390,11 @@ OUT_OF_RANGE_CASES = {
     "embed-string-v0": ("embed", '{"law": "free", "v0": "fast"}', [], "v0"),
     "embed-list-param": ("embed", '{"law": "damped", "params": {"c": [0.1]}}',
                          [], "params.c"),
+    # a key the law does not take was ignored, leaving its default in force
+    "embed-unknown-param": ("embed", '{"law": "harmonic", "params": {"K": 4.0}}',
+                            [], "params.K"),
+    "embed-free-param": ("embed", '{"law": "free", "params": {"k": 1.0}}', [],
+                         "params.k"),
     "dilate-string-t": ("dilate", '{"matrix": [[0.5, 0.5], [0.5, 0.5]], "t": "x"}',
                         [], "t"),
     "unistochastic-huge-t0": ("unistochastic",
@@ -433,6 +438,10 @@ OUT_OF_RANGE_CASES = {
     # a law that overflows a float ** mid-integration
     "embed-overflow": ("embed", '{"law": "cubic", "x0": 1e200}', ["--T", "0.01"],
                        "<integration>"),
+    # a finite trajectory whose law overflows on the time-reversal probe box
+    "embed-probe-overflow": ("embed", '{"law": "damped", "params": '
+                             '{"k": 1e308, "c": 1e308}, "x0": 0, "v0": 0}',
+                             [], "<validation>"),
     # flag values the handlers cannot honour
     "unistochastic-tol-nan": ("unistochastic",
                               '{"matrix": [[0.5, 0.5], [0.5, 0.5]]}',
@@ -473,6 +482,7 @@ def test_out_of_range_input_exits_1(tmp_path, capsys, case):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["field"] == field
     assert not out.exists()
+    assert not out.with_suffix(".csv").exists()
 
 
 @pytest.mark.filterwarnings("error")

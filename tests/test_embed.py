@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from indivisible.cli import _law_registry
 from indivisible.embed import (
+    INVARIANCE_BOX,
+    INVARIANCE_TOL,
     ComplexFlow,
     EmbeddedState,
     SecondOrderDiscreteLaw,
@@ -22,10 +27,14 @@ from indivisible.embed import (
     xy_inverse,
     xy_transform,
 )
-from indivisible.errors import DomainError, IntegrationError
+from indivisible.errors import DomainError, IntegrationError, ValidationError
+
+from oracles import ReferenceBlowup, reference_reversal_probe, reference_rk4
 
 HARMONIC = SecondOrderODE(lambda x, y: -x)
 DAMPED = SecondOrderODE(lambda x, y: -x - 0.2 * y)
+EVEN = SecondOrderODE(lambda x, y: -x + y ** 2)
+CLI_LAWS = ("harmonic", "damped", "cubic", "free")
 
 
 def test_fibonacci_mod_5_embedding():
@@ -165,9 +174,65 @@ def test_invariance_check_tells_even_from_odd_velocity_dependence():
     assert invariant and violation <= 1e-12
     invariant, violation = check_time_reversal_invariance(DAMPED, 256)
     assert not invariant and violation > 1e-3
-    even = SecondOrderODE(lambda x, y: -x + y ** 2)
-    invariant, _ = check_time_reversal_invariance(even, 256)
+    invariant, _ = check_time_reversal_invariance(EVEN, 256)
     assert invariant
+
+
+def _cli_law(name: str, k: float = 1.0, c: float = 0.1) -> SecondOrderODE:
+    params = {"harmonic": {"k": k}, "damped": {"k": k, "c": c},
+              "cubic": {"k": k}, "free": {}}[name]
+    return SecondOrderODE(_law_registry(name, params))
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=st.sampled_from(CLI_LAWS),
+       x0=st.floats(-2.0, 2.0), v0=st.floats(-2.0, 2.0),
+       k=st.floats(0.5, 2.0), c=st.floats(0.05, 0.5),
+       dt=st.sampled_from((1e-3, 5e-4, 1e-4)), steps=st.integers(1, 2000))
+def test_rk4_matches_the_reference_bitwise(law, x0, v0, k, c, dt, steps):
+    ode = _cli_law(law, k, c)
+    traj = integrate_embedded(ode, x0, v0, dt, dt * steps)
+    times, xs, ys = reference_rk4(ode.f, x0, v0, dt, dt * steps)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.x, xs)
+    assert np.array_equal(traj.y, ys)
+
+
+@pytest.mark.parametrize("f, x0, dt, duration", [
+    (lambda x, y: 1e308 * x, 3.0, 0.5, 50.0),  # runs to inf
+    (lambda x, y: -x ** 3, 1e200, 1e-3, 1.0),  # float ** raises OverflowError
+])
+def test_rk4_blows_up_where_the_reference_does(f, x0, dt, duration):
+    with pytest.raises(ReferenceBlowup) as ref:
+        reference_rk4(f, x0, 0.0, dt, duration)
+    with pytest.raises(IntegrationError) as err:
+        integrate_embedded(SecondOrderODE(f), x0, 0.0, dt, duration)
+    assert err.value.step == ref.value.step
+    assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("ode", [*(_cli_law(name) for name in CLI_LAWS),
+                                 DAMPED, EVEN],
+                         ids=[*CLI_LAWS, "DAMPED", "even"])
+def test_reversal_probe_matches_the_reference(ode):
+    for seed in range(50):
+        got = check_time_reversal_invariance(ode, 256, seed=seed)
+        assert got == reference_reversal_probe(ode.f, 256, seed, INVARIANCE_BOX,
+                                               INVARIANCE_TOL)
+        assert type(got[1]) is float
+
+
+@pytest.mark.parametrize("f", [
+    lambda x, y: 1e308 * y * 10.0,  # gap |-inf - inf| = inf
+    lambda x, y: 1e308 * x * 10.0,  # gap |inf - inf| = NaN, which max() skips
+    lambda x, y: x ** 400,          # float ** raises OverflowError
+], ids=["inf", "nan", "overflow"])
+def test_reversal_probe_refuses_a_law_that_overflows_on_the_box(f):
+    with pytest.raises(ValidationError) as err:
+        check_time_reversal_invariance(SecondOrderODE(f), 256)
+    x, y = err.value.details["point"]
+    assert f"({x!r}, {y!r})" in str(err.value)
+    assert abs(x) <= INVARIANCE_BOX and abs(y) <= INVARIANCE_BOX
 
 
 def test_integrator_rejects_bad_grid():
