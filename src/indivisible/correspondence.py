@@ -376,17 +376,13 @@ def orthostochastic_check(gamma: TransitionMatrix) -> np.ndarray | None:
     r = np.sqrt(gamma.matrix)
     tol = 1e-10
 
-    def column_choices(j: int) -> list[np.ndarray]:
-        nonzero = np.flatnonzero(r[:, j] > 0.0)
-        free = nonzero[1:]  # gauge: first nonzero entry is positive
-        out = []
-        for bits in range(1 << len(free)):
-            signs = np.ones(n)
-            for pos, row in enumerate(free):
-                if bits >> pos & 1:
-                    signs[row] = -1.0
-            out.append(signs * r[:, j])
-        return out
+    def column_choices(j: int) -> np.ndarray:
+        free = np.flatnonzero(r[:, j] > 0.0)[1:]  # gauge: first nonzero is +
+        # Row b of the pattern flips the free rows whose bit is set in b.
+        bits = np.arange(1 << len(free))[:, None] >> np.arange(len(free)) & 1
+        signs = np.ones((len(bits), n))
+        signs[:, free] = 1.0 - 2.0 * bits
+        return signs * r[:, j]
 
     chosen: list[np.ndarray] = []
 
@@ -465,11 +461,10 @@ def stinespring_dilate(kraus: KrausSet) -> UnitaryMatrix:
 def dilation_marginal(u: UnitaryMatrix | np.ndarray, n: int) -> np.ndarray:
     """Recover Gamma_ij = sum_beta |U[(i, beta), (j, 0)]|^2 from a dilation."""
     m = u.matrix if isinstance(u, UnitaryMatrix) else np.asarray(u)
-    gamma = np.empty((n, n))
-    for j in range(n):
-        block = m[:, j * n].reshape(n, n)
-        gamma[:, j] = np.sum(np.abs(block) ** 2, axis=1)
-    return gamma
+    # Column j*n as row j of a contiguous (n, n, n) stack: the sum over beta
+    # runs along the last axis, in the order a per-column sum would take.
+    cols = np.ascontiguousarray(m[:, ::n].T).reshape(n, n, n)
+    return np.sum(np.abs(cols) ** 2, axis=2).T
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, ValidationError, freeze
+from .errors import (DomainError, IntegrationError, ValidationError, freeze,
+                     uniform_grid)
 
-# Reversal-invariance sampling: |F(x, y) - F(x, -y)| is probed on
+# Reversal-invariance sampling: |F(x, y) - F(x, -y)| is probed on SAMPLES
 # uniform draws from [-BOX, BOX]^2 and compared against INVARIANCE_TOL.
 INVARIANCE_TOL = 1e-12
 INVARIANCE_BOX = 10.0
+INVARIANCE_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -145,20 +147,6 @@ class Trajectory:
         return len(self.times)
 
 
-def _uniform_grid(dt: float, duration: float) -> tuple[int, float]:
-    """Steps and step size for a uniform grid that lands exactly on duration.
-
-    The step equals dt whenever dt divides duration; otherwise it is the
-    nearest value that does, duration / round(duration / dt).
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if duration <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    n = max(1, int(round(duration / dt)))
-    return n, duration / n
-
-
 def integrate_embedded(ode: SecondOrderODE, x0: float, v0: float,
                        dt: float, duration: float) -> Trajectory:
     """Fixed-step RK4 on the pair x' = y, y' = f(x, y).
@@ -171,7 +159,7 @@ def integrate_embedded(ode: SecondOrderODE, x0: float, v0: float,
     the x-slope of a stage is the y-argument of the next law call
     (k2x = y + dt/2 k1y, and so on), and k1x is y itself.
     """
-    n, dt = _uniform_grid(dt, duration)
+    n, dt = uniform_grid(dt, duration)
     f = ode.f
     half = dt / 2.0
     sixth = dt / 6.0
@@ -214,7 +202,7 @@ def integrate_complex(flow: ComplexFlow, z0: complex, dt: float,
     The component arithmetic matches the real-pair integrator exactly, so the
     two trajectories agree to roundoff.
     """
-    n, dt = _uniform_grid(dt, duration)
+    n, dt = uniform_grid(dt, duration)
     half = dt / 2.0
     sixth = dt / 6.0
     zs = np.empty(n + 1, dtype=complex)
@@ -282,21 +270,23 @@ def reverse_complex(times: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.n
     return -times[::-1], np.conj(zs[::-1])
 
 
-def check_time_reversal_invariance(ode: SecondOrderODE, samples: int,
+def check_time_reversal_invariance(ode: SecondOrderODE,
                                    seed: int = 0) -> tuple[bool, float]:
-    """Probe F(x, -y) = F(x, y) on uniform draws from [-INVARIANCE_BOX, INVARIANCE_BOX]^2.
+    """Probe F(x, -y) = F(x, y) on INVARIANCE_SAMPLES uniform draws from
+    [-INVARIANCE_BOX, INVARIANCE_BOX]^2, the stream of ``seed``.
 
     Returns (invariant, max violation); invariant means a violation of at most
     INVARIANCE_TOL.  A sampled check: a law can evade it on a measure-zero
     set, but for the polynomial laws used in practice the verdict is exact.
 
-    All points come from one draw of shape (samples, 2), the same stream as
-    one size-2 draw per sample, and the law is called on Python floats.
-    Raises ValidationError naming the point (x, y) where the law overflows
-    or the gap |F(x, -y) - F(x, y)| is not finite.
+    All points come from one draw of shape (INVARIANCE_SAMPLES, 2), the same
+    stream as one size-2 draw per sample, and the law is called on Python
+    floats.  Raises ValidationError naming the point (x, y) where the law
+    overflows or the gap |F(x, -y) - F(x, y)| is not finite.
     """
     rng = np.random.default_rng(seed)
-    points = rng.uniform(-INVARIANCE_BOX, INVARIANCE_BOX, size=(samples, 2))
+    points = rng.uniform(-INVARIANCE_BOX, INVARIANCE_BOX,
+                         size=(INVARIANCE_SAMPLES, 2))
     f = ode.f
     worst = 0.0
     for x, y in points.tolist():

@@ -1,7 +1,9 @@
-"""Exception types, shared matrix checks and the value types' storage rule."""
+"""Exception types, shared matrix checks, the shared time grid and the value
+types' storage rule."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -91,6 +93,20 @@ def completeness_deviation(*ops: np.ndarray) -> float:
     """max |sum_k K_k^dag K_k - 1|; for a single operator, its unitarity defect."""
     total = sum(k.conj().T @ k for k in ops)
     return float(np.max(np.abs(total - np.eye(total.shape[0]))))
+
+
+def uniform_grid(dt: float, duration: float) -> tuple[int, float]:
+    """Steps and step size for a uniform grid that lands exactly on duration.
+
+    The step equals dt whenever dt divides duration; otherwise it is the
+    nearest value that does, duration / round(duration / dt).  ValueError
+    naming the argument unless 0 < dt, duration < inf (NaN fails).
+    """
+    for name, value in (("dt", dt), ("duration", duration)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    n = max(1, int(round(duration / dt)))
+    return n, duration / n
 
 
 def freeze(obj, **fields) -> None:

@@ -37,9 +37,8 @@ class FeasibilityResult:
     pivots: int
 
 
-def find_nonnegative_solution(a_ub, b_ub, *,
-                              max_pivots: int = MAX_PIVOTS) -> FeasibilityResult:
-    """Search for x >= 0 with a_ub @ x <= b_ub."""
+def find_nonnegative_solution(a_ub, b_ub) -> FeasibilityResult:
+    """Search for x >= 0 with a_ub @ x <= b_ub, stopping at MAX_PIVOTS pivots."""
     a = np.array(a_ub, dtype=float)
     b = np.array(b_ub, dtype=float).reshape(-1)
     if a.ndim != 2 or a.shape[0] != b.shape[0]:
@@ -93,7 +92,7 @@ def find_nonnegative_solution(a_ub, b_ub, *,
         tied = rows[np.flatnonzero(ratios <= best + 1e-15)]
         leave = int(tied[np.argmin(basis[tied])])  # Bland on the basic index
 
-        if pivots >= max_pivots:
+        if pivots >= MAX_PIVOTS:
             return FeasibilityResult("iteration_limit", None, float(-t[m, -1]), pivots)
         pivot = t[leave, enter]
         t[leave, :] /= pivot

@@ -39,10 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (IntegrationError, SquareMatrix, ValidationError, freeze,
-                     require_finite, require_hermitian, square_matrix)
+                     require_finite, require_hermitian, square_matrix,
+                     uniform_grid)
 
 HERMITICITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
+SH_METHODS = ("strang", "rk4")  # sh_integrate's methods
 
 
 @dataclass(frozen=True)
@@ -228,11 +230,12 @@ def _rk4_step_matrix(system: SHSystem, dt: float) -> np.ndarray:
 def sh_integrate(system: SHSystem, state: PhaseSpaceState, dt: float,
                  duration: float, method: str = "strang",
                  sample_stride: int = 1) -> PhaseTrajectory:
-    """Evolve (q, p) on a uniform grid of round(duration / dt) steps.
+    """Evolve (q, p) on the grid of ``errors.uniform_grid(dt, duration)``.
 
-    The grid covers [0, duration] exactly, so the step equals dt only when dt
-    divides duration.  method "strang" is the symplectic default; "rk4" is
-    kept for comparison runs and has no symplecticity guarantee.
+    Its round(duration / dt) steps cover [0, duration] exactly, so the step
+    equals dt only when dt divides duration.  method is one of SH_METHODS:
+    "strang" is the symplectic default; "rk4" is kept for comparison runs
+    and has no symplecticity guarantee.
     sample_stride > 1 records every stride-th step (the first and last steps
     are always included).  The stride is taken as one matrix, step**stride,
     so each recorded sample costs one matrix-vector product; stride 1 does
@@ -240,14 +243,11 @@ def sh_integrate(system: SHSystem, state: PhaseSpaceState, dt: float,
     (rk4 at too large a step) raises IntegrationError naming the first
     recorded step whose sample is not finite.
     """
-    if dt <= 0.0 or duration <= 0.0:
-        raise ValueError("dt and duration must be positive")
+    n_steps, dt = uniform_grid(dt, duration)
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    if method not in ("strang", "rk4"):
+    if method not in SH_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    n_steps = max(1, int(round(duration / dt)))
-    dt = duration / n_steps
     stride = min(sample_stride, n_steps)
     jumps, tail = divmod(n_steps, stride)
     idx = stride * np.arange(jumps + 1)

@@ -109,16 +109,19 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Any) -> None:
     """Plain numeric CSV of the 2-D array ``rows``; no rows leaves just the
-    header line.  The body is formatted with one ``%``."""
+    header line.  The body is formatted with one ``%`` per chunk of rows."""
     table = np.asarray(rows, dtype=float)
     finite = np.isfinite(table)
     if not finite.all():
         format_float(float(table[~finite][0]))  # raises, naming the value
     with Path(path).open("w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        if len(table):
+        if len(table):  # a zero-row table arrives 1-D, without a shape[1]
             line = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
-            f.write((line * len(table)) % tuple(table.ravel().tolist()))
+            # Chunks bound the formatted text and its argument tuple in memory.
+            for start in range(0, len(table), 1 << 14):
+                chunk = table[start:start + (1 << 14)]
+                f.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

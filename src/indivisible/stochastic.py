@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (SquareMatrix, ValidationError, freeze, require_finite,
                      square_matrix)
-from .lp import MAX_PIVOTS, find_nonnegative_solution
+from .lp import find_nonnegative_solution
 
 SUM_TOL = 1e-12          # distributions and matrix columns must sum to 1 within this
 NEGATIVE_CLAMP = 1e-14   # entries in (-NEGATIVE_CLAMP, 0) are clamped to zero
@@ -32,14 +32,6 @@ WITNESS_RESIDUAL_TOL = 1e-9
 # Tighter than the witness tolerance so that column renormalization of the
 # LP vertex cannot push the final residual over WITNESS_RESIDUAL_TOL.
 LP_RELAXATION = 1e-10
-
-
-def _clamp_small_negatives(arr: np.ndarray, context: str) -> np.ndarray:
-    worst = float(arr.min()) if arr.size else 0.0
-    if worst < -NEGATIVE_CLAMP:
-        raise ValidationError(
-            f"{context} has negative entries (min {worst:.3e})", minimum=worst)
-    return np.where(arr < 0.0, 0.0, arr)
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,12 @@ class Distribution:
         if p.size == 0:
             raise ValidationError("empty distribution")
         require_finite(p, "distribution")
-        p = _clamp_small_negatives(p, "distribution")
+        worst = float(p.min())
+        if worst < -NEGATIVE_CLAMP:
+            raise ValidationError(
+                f"distribution has negative entries (min {worst:.3e})",
+                minimum=worst)
+        p = np.where(p < 0.0, 0.0, p)
         total = float(p.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValidationError(
@@ -256,8 +253,8 @@ def _direct_verdict(gamma_t: TransitionMatrix,
     return DivisibilityVerdict("divisible", witness=witness, residual=residual)
 
 
-def divisibility_check(gamma_t: TransitionMatrix, gamma_tp: TransitionMatrix,
-                       *, max_pivots: int = MAX_PIVOTS) -> DivisibilityVerdict:
+def divisibility_check(gamma_t: TransitionMatrix,
+                       gamma_tp: TransitionMatrix) -> DivisibilityVerdict:
     """Decide divisibility of gamma_t through gamma_tp (shared source time).
 
     The direct route comes first: when Gamma(t') is invertible, the unique
@@ -292,12 +289,12 @@ def divisibility_check(gamma_t: TransitionMatrix, gamma_tp: TransitionMatrix,
     b_ub = np.stack([rhs + LP_RELAXATION, -(rhs - LP_RELAXATION)],
                     axis=1).reshape(-1)
 
-    result = find_nonnegative_solution(a_ub, b_ub, max_pivots=max_pivots)
+    result = find_nonnegative_solution(a_ub, b_ub)
 
     if result.status == "iteration_limit":
         return DivisibilityVerdict(
             "indeterminate", certificate=(
-                f"phase-1 simplex hit the {max_pivots}-pivot cap with residual "
+                f"phase-1 simplex hit the {result.pivots}-pivot cap with residual "
                 f"infeasibility {result.infeasibility:.3e}; no verdict"),
             residual=result.infeasibility)
     if result.status == "infeasible":

@@ -141,6 +141,59 @@ def qubit_rotation_gamma(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, c]])
 
 
+def reference_marginal(u: np.ndarray, n: int) -> np.ndarray:
+    """Gamma_ij = sum_beta |U[(i, beta), (j, 0)]|^2, one column j at a time."""
+    gamma = np.empty((n, n))
+    for j in range(n):
+        block = u[:, j * n].reshape(n, n)
+        gamma[:, j] = np.sum(np.abs(block) ** 2, axis=1)
+    return gamma
+
+
+def reference_orthostochastic(gamma: np.ndarray) -> np.ndarray | None:
+    """Real orthogonal O with O_ij^2 = Gamma_ij by exhaustive sign search.
+
+    Columns are assigned in order; each column's sign patterns are built one
+    bit at a time, with the first nonzero entry kept positive, and a column
+    is kept when its dot with every earlier one is within 1e-10.  Returns
+    the first O found in that order, or None.
+    """
+    n = gamma.shape[0]
+    r = np.sqrt(gamma)
+    tol = 1e-10
+
+    def column_choices(j: int) -> list:
+        free = np.flatnonzero(r[:, j] > 0.0)[1:]
+        out = []
+        for bits in range(1 << len(free)):
+            signs = np.ones(n)
+            for pos, row in enumerate(free):
+                if bits >> pos & 1:
+                    signs[row] = -1.0
+            out.append(signs * r[:, j])
+        return out
+
+    chosen: list = []
+
+    def assign(j: int) -> bool:
+        if j == n:
+            return True
+        for col in column_choices(j):
+            if all(abs(float(col @ prev)) <= tol for prev in chosen):
+                chosen.append(col)
+                if assign(j + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not assign(0):
+        return None
+    o = np.column_stack(chosen)
+    if float(np.max(np.abs(o.T @ o - np.eye(n)))) > tol:
+        return None
+    return o
+
+
 def stepwise_samples(step: np.ndarray, x0: np.ndarray, n_steps: int,
                      stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference for a strided linear integrator: apply ``step`` once per step

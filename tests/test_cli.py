@@ -405,6 +405,15 @@ OUT_OF_RANGE_CASES = {
                      "--dt"),
     "embed-steps": ("embed", '{"law": "free"}', ["--dt", "1e-300", "--T", "1"],
                     "--dt"),
+    # each grid flag is checked before the step count it implies
+    "embed-zero-T": ("embed", '{"law": "free"}', ["--T", "0"], "--T"),
+    "embed-inf-T": ("embed", '{"law": "free"}', ["--T", "inf"], "--T"),
+    "embed-nan-dt": ("embed", '{"law": "free"}', ["--dt", "nan"], "--dt"),
+    "sh-sim-inf-dt": ("sh-sim", HERMITIAN_2_TEXT, ["--dt", "inf"], "--dt"),
+    # the grid is checked before the stride
+    "sh-sim-steps-and-stride": ("sh-sim", HERMITIAN_2_TEXT,
+                                ["--dt", "1e-300", "--T", "1", "--stride", "0"],
+                                "--dt"),
     # the NaN and Infinity literals of json.loads in optional numbers
     "embed-nan-x0": ("embed", '{"law": "free", "x0": NaN}', [], "x0"),
     "embed-inf-v0": ("embed", '{"law": "free", "v0": Infinity}', [], "v0"),

@@ -27,7 +27,8 @@ from indivisible.errors import (
     ValidationError,
 )
 from indivisible.stochastic import Distribution, TransitionMatrix
-from oracles import polygon_excess, random_orthogonal, random_unitary
+from oracles import (polygon_excess, random_orthogonal, random_unitary,
+                     reference_marginal, reference_orthostochastic)
 
 FIXTURE_3 = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 FLAT_2 = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -276,6 +277,27 @@ def test_orthostochastic_round_trip_random_orthogonal():
         np.testing.assert_allclose(o ** 2, gamma.matrix, atol=1e-12)
 
 
+def _sign_search_draws():
+    """Real and complex Haar squares, permutations and the flat matrix, n <= 4."""
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 4):
+        yield np.full((n, n), 1.0 / n)
+        for _ in range(100):
+            yield random_orthogonal(n, rng) ** 2
+            yield np.abs(random_unitary(n, rng)) ** 2
+            yield np.eye(n)[rng.permutation(n)]
+
+
+def test_orthostochastic_search_matches_the_reference():
+    for gamma in _sign_search_draws():
+        o = orthostochastic_check(TransitionMatrix(gamma))
+        want = reference_orthostochastic(gamma)
+        if want is None:
+            assert o is None
+        else:
+            assert np.array_equal(o, want)
+
+
 def test_orthostochastic_size_cap():
     rng = np.random.default_rng(5)
     q = random_orthogonal(5, rng)
@@ -369,6 +391,13 @@ def test_dilation_is_unitary_and_reproduces_gamma():
                                    np.eye(n * n), atol=1e-10)
         np.testing.assert_allclose(dilation_marginal(dil, n), gamma_arr,
                                    atol=1e-10)
+
+
+def test_dilation_marginal_matches_the_reference_bitwise():
+    rng = np.random.default_rng(13)
+    for n in range(1, 13):
+        u = random_unitary(n * n, rng)
+        assert np.array_equal(dilation_marginal(u, n), reference_marginal(u, n))
 
 
 def test_density_from_distribution_round_trip():

@@ -28,6 +28,7 @@ from indivisible.embed import (
     xy_transform,
 )
 from indivisible.errors import DomainError, IntegrationError, ValidationError
+from indivisible.oscillator import PhaseSpaceState, SHSystem, sh_integrate
 
 from oracles import ReferenceBlowup, reference_reversal_probe, reference_rk4
 
@@ -170,11 +171,11 @@ def test_complex_reversal_matches_pair_reversal():
 
 
 def test_invariance_check_tells_even_from_odd_velocity_dependence():
-    invariant, violation = check_time_reversal_invariance(HARMONIC, 256)
+    invariant, violation = check_time_reversal_invariance(HARMONIC)
     assert invariant and violation <= 1e-12
-    invariant, violation = check_time_reversal_invariance(DAMPED, 256)
+    invariant, violation = check_time_reversal_invariance(DAMPED)
     assert not invariant and violation > 1e-3
-    invariant, _ = check_time_reversal_invariance(EVEN, 256)
+    invariant, _ = check_time_reversal_invariance(EVEN)
     assert invariant
 
 
@@ -216,7 +217,7 @@ def test_rk4_blows_up_where_the_reference_does(f, x0, dt, duration):
                          ids=[*CLI_LAWS, "DAMPED", "even"])
 def test_reversal_probe_matches_the_reference(ode):
     for seed in range(50):
-        got = check_time_reversal_invariance(ode, 256, seed=seed)
+        got = check_time_reversal_invariance(ode, seed=seed)
         assert got == reference_reversal_probe(ode.f, 256, seed, INVARIANCE_BOX,
                                                INVARIANCE_TOL)
         assert type(got[1]) is float
@@ -229,7 +230,7 @@ def test_reversal_probe_matches_the_reference(ode):
 ], ids=["inf", "nan", "overflow"])
 def test_reversal_probe_refuses_a_law_that_overflows_on_the_box(f):
     with pytest.raises(ValidationError) as err:
-        check_time_reversal_invariance(SecondOrderODE(f), 256)
+        check_time_reversal_invariance(SecondOrderODE(f))
     x, y = err.value.details["point"]
     assert f"({x!r}, {y!r})" in str(err.value)
     assert abs(x) <= INVARIANCE_BOX and abs(y) <= INVARIANCE_BOX
@@ -240,6 +241,43 @@ def test_integrator_rejects_bad_grid():
         integrate_embedded(HARMONIC, 1.0, 0.0, -1e-3, 1.0)
     with pytest.raises(ValueError):
         integrate_embedded(HARMONIC, 1.0, 0.0, 1e-3, 0.0)
+
+
+def _sh_integrate(dt, duration):
+    system = SHSystem(np.eye(2), np.zeros((2, 2)))
+    return sh_integrate(system, PhaseSpaceState([1.0, 0.0], [0.0, 0.0]), dt,
+                        duration)
+
+
+GRID_INTEGRATORS = {
+    "embedded": lambda dt, duration: integrate_embedded(HARMONIC, 1.0, 0.0, dt,
+                                                        duration),
+    "complex": lambda dt, duration: integrate_complex(ComplexFlow(HARMONIC), 1.0,
+                                                      dt, duration),
+    "sh": _sh_integrate,
+}
+
+
+@pytest.mark.parametrize("integrator", sorted(GRID_INTEGRATORS))
+@pytest.mark.parametrize("arg", ["dt", "duration"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_grid_refuses_a_step_or_span_that_is_not_positive_and_finite(
+        integrator, arg, bad):
+    grid = {"dt": 0.1, "duration": 1.0, arg: bad}
+    with pytest.raises(ValueError, match=f"^{arg} must be positive and finite"):
+        GRID_INTEGRATORS[integrator](grid["dt"], grid["duration"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dt=st.floats(1e-3, 1.0), ratio=st.floats(0.01, 500.0))
+def test_integrators_share_one_time_grid(dt, ratio):
+    duration = dt * ratio
+    times = integrate_embedded(HARMONIC, 1.0, 0.0, dt, duration).times
+    assert np.array_equal(
+        integrate_complex(ComplexFlow(HARMONIC), 1.0, dt, duration)[0], times)
+    assert np.array_equal(_sh_integrate(dt, duration).times, times)
+    steps = max(1, round(duration / dt))
+    assert len(times) == steps + 1 and times[-1] == steps * (duration / steps)
 
 
 def test_integrator_reports_blowup():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from indivisible import lp
 from indivisible.lp import find_nonnegative_solution
 
 
@@ -39,10 +40,11 @@ def test_equality_encoded_as_paired_inequalities():
     np.testing.assert_allclose(result.x, [0.6, 0.4], atol=1e-9)
 
 
-def test_pivot_cap_reports_iteration_limit():
+def test_pivot_cap_reports_iteration_limit(monkeypatch):
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 0)
     a = np.array([[1.0, 1.0], [-1.0, 0.0]])
     b = np.array([4.0, -1.0])
-    result = find_nonnegative_solution(a, b, max_pivots=0)
+    result = find_nonnegative_solution(a, b)
     assert result.status == "iteration_limit"
     assert result.pivots == 0
 

@@ -121,6 +121,15 @@ def test_write_csv_matches_per_element_reference(tmp_path, table, as_lists):
     assert path.read_text() == reference_csv(header, table)
 
 
+def test_write_csv_across_chunks_matches_per_element_reference(tmp_path):
+    """Two full chunks of 2**14 rows and a partial third, all one text."""
+    rng = np.random.default_rng(14)
+    table = rng.normal(size=(2 * (1 << 14) + 3, 3))
+    path = tmp_path / "long.csv"
+    write_csv(path, ["t", "x", "y"], table)
+    assert path.read_text() == reference_csv(["t", "x", "y"], table)
+
+
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(TABLES.filter(lambda a: a.size), NON_FINITE, st.integers(min_value=0))
 def test_write_csv_non_finite_raises_as_reference(tmp_path, table, bad, at):

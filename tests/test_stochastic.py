@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from indivisible import stochastic
+from indivisible import lp, stochastic
 from indivisible.errors import ValidationError
 from indivisible.lp import find_nonnegative_solution
 from indivisible.stochastic import (
@@ -218,14 +218,15 @@ def test_lp_layout_follows_the_definition(monkeypatch):
     assert b_ub.tobytes() == want_b.tobytes()
 
 
-def test_pivot_cap_yields_indeterminate():
+def test_pivot_cap_yields_indeterminate(monkeypatch):
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 0)
     rng = np.random.default_rng(4)
     g1 = random_column_stochastic(3, rng)
     g1[:, 1] = g1[:, 0]  # singular, so the direct route leaves it to the LP
     g1 = TransitionMatrix(g1, t=1.0, t0=0.0)
     g2 = TransitionMatrix(random_column_stochastic(3, rng) @ g1.matrix,
                           t=2.0, t0=0.0)
-    verdict = divisibility_check(g2, g1, max_pivots=0)
+    verdict = divisibility_check(g2, g1)
     assert verdict.status == "indeterminate"
     assert "pivot" in verdict.certificate
 
