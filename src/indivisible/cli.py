@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,8 @@ from . import embed as emb
 from . import oscillator as osc
 from . import serialize as ser
 from . import stochastic as stoch
-from .errors import InputFormatError, IntegrationError, ValidationError
+from .errors import (MAX_GRID_STEPS, InputFormatError, IntegrationError,
+                     ValidationError)
 
 SCHEMA_VERSION = 1
 
@@ -97,7 +97,7 @@ def _require_grid(args) -> None:
     _require_positive("--dt", args.dt)
     _require_positive("--T", args.duration)
     steps = args.duration / args.dt
-    if not steps < np.iinfo(np.intp).max // 8:
+    if not steps < MAX_GRID_STEPS:
         raise InputFormatError(
             "--dt", f"--T / --dt is {steps:.3g} steps, more than an array can hold")
 
@@ -256,14 +256,17 @@ def _cmd_divisibility(args) -> int:
     if args.all_pairs:
         t0, stamps = _stamps(process, args)
         pairs = [(hi, lo) for i, hi in enumerate(stamps) for lo in stamps[:i]]
-
-        def check(pair):
-            hi, lo = pair
-            return stoch.divisibility_check(process.transition(hi, t0),
-                                            process.transition(lo, t0))
-
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            verdicts = list(pool.map(check, pairs))
+        gammas = [(process.transition(hi, t0), process.transition(lo, t0))
+                  for hi, lo in pairs]
+        verdicts = stoch.direct_verdicts(gammas)
+        rest = [k for k, v in enumerate(verdicts) if v is None]
+        if rest:
+            # Deferred: a run settled directly skips this import's peak RSS.
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+                for k, v in zip(rest, pool.map(
+                        lambda k: stoch.divisibility_check(*gammas[k]), rest)):
+                    verdicts[k] = v
         results = [_verdict_payload(v, hi, lo)
                    for (hi, lo), v in zip(pairs, verdicts)]
         _emit(args, {"t0": t0, "pairs": results, "tolerances": tolerances})
@@ -430,7 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tp", type=float, default=None)
     p.add_argument("--t0", type=float, default=None)
     p.add_argument("--all-pairs", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="with --all-pairs: threads for the pairs the LP decides; "
+                   "the rest are settled by one stacked solve in the calling "
+                   "thread")
     p.set_defaults(handler=_cmd_divisibility)
 
     p = subs.add_parser("correspond", help="unitary to transition matrix")

@@ -95,17 +95,27 @@ def completeness_deviation(*ops: np.ndarray) -> float:
     return float(np.max(np.abs(total - np.eye(total.shape[0]))))
 
 
+# A time grid has fewer steps than this; past it, its float arrays would not
+# fit in memory, nor their sizes in a numpy index.
+MAX_GRID_STEPS = np.iinfo(np.intp).max // 8
+
+
 def uniform_grid(dt: float, duration: float) -> tuple[int, float]:
     """Steps and step size for a uniform grid that lands exactly on duration.
 
     The step equals dt whenever dt divides duration; otherwise it is the
     nearest value that does, duration / round(duration / dt).  ValueError
-    naming the argument unless 0 < dt, duration < inf (NaN fails).
+    naming the argument unless 0 < dt, duration < inf (NaN fails), and
+    naming dt unless duration / dt < MAX_GRID_STEPS.
     """
     for name, value in (("dt", dt), ("duration", duration)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    n = max(1, int(round(duration / dt)))
+    steps = duration / dt
+    if not steps < MAX_GRID_STEPS:
+        raise ValueError(f"dt is too small for duration: {steps:.3g} steps, "
+                         "more than an array can hold")
+    n = max(1, int(round(steps)))
     return n, duration / n
 
 

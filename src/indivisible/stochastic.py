@@ -10,7 +10,9 @@ there need not exist any column-stochastic M with
 even when both endpoints are perfectly lawful.  ``divisibility_check`` decides
 that question directly from the unique candidate M = Gamma(t) Gamma(t')^-1
 when Gamma(t') is invertible, and otherwise as a linear feasibility problem
-over the entries of M.
+over the entries of M.  ``direct_verdicts`` is that direct route for many
+pairs at once: one stacked solve decides every pair it can, with the bits
+each would get alone, and marks the rest (None) for the LP.
 """
 
 from __future__ import annotations
@@ -195,9 +197,10 @@ class DivisibilityVerdict:
     residual: float = 0.0
 
 
-def _direct_verdict(gamma_t: TransitionMatrix,
-                    gamma_tp: TransitionMatrix) -> DivisibilityVerdict | None:
-    """Verdict from the unique M = Gamma(t) Gamma(t')^-1, or None for the LP.
+def direct_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
+                    ) -> list[DivisibilityVerdict | None]:
+    """Verdict per (gamma_t, gamma_tp) pair from the unique M = Gamma(t)
+    Gamma(t')^-1, or None where the LP must decide.
 
     Every point of the relaxed LP is (Gamma(t) + E) Gamma(t')^-1 with
     |E| <= LP_RELAXATION entrywise, and the computed M is (Gamma(t) + R)
@@ -211,46 +214,75 @@ def _direct_verdict(gamma_t: TransitionMatrix,
     1^T Gamma(t) = 1^T Gamma(t') = 1^T.  None is returned for a singular
     Gamma(t'), for entries too close to zero to call either way, and for a
     witness the usual gates refuse.
+
+    The two matrices of a pair share their source time, and all pairs share
+    one size.  The solve, the norms and the first residuals are computed once
+    for the whole (k, n, n) stack; each pair's verdict has the bits it has
+    alone.
     """
-    n = gamma_t.n
-    gp, gt = gamma_tp.matrix, gamma_t.matrix
+    if not pairs:
+        return []
+    n = pairs[0][0].n
+    for gamma_t, gamma_tp in pairs:
+        if gamma_t.n != gamma_tp.n:
+            raise ValidationError(
+                f"size mismatch: {gamma_t.n} vs {gamma_tp.n}")
+        if gamma_t.t0 != gamma_tp.t0:
+            raise ValidationError(
+                "matrices must share the source time: "
+                f"{gamma_t.t0} vs {gamma_tp.t0}")
+        if gamma_t.n != n:
+            raise ValidationError("pairs differ in size")
+    gt = np.stack([gamma_t.matrix for gamma_t, _ in pairs])
+    gp = np.stack([gamma_tp.matrix for _, gamma_tp in pairs])
+    rhs = np.concatenate(
+        [gt.transpose(0, 2, 1), np.broadcast_to(np.eye(n), gt.shape)], axis=2)
     try:
         # Solving, rather than multiplying by the inverse, keeps the residual
         # near machine epsilon even when Gamma(t') is badly conditioned.  The
         # same factorization yields Gamma(t')^-T for the margin.
-        sol = np.linalg.solve(gp.T, np.hstack([gt.T, np.eye(n)]))
+        sol = np.linalg.solve(gp.transpose(0, 2, 1), rhs)
     except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(sol).all():
-        return None
+        # One exactly singular Gamma(t') fails the whole stack.
+        if len(pairs) == 1:
+            return [None]
+        return [direct_verdicts([pair])[0] for pair in pairs]
+    verdicts: list[DivisibilityVerdict | None] = [None] * len(pairs)
+    live = np.flatnonzero(np.isfinite(sol).all(axis=(1, 2)))
     # Columns of Gamma(t') sum to 1, so ||Gamma(t')^-1||_1 is its condition
     # number; from 1/eps on, Gamma(t') is singular to working precision and
     # M is not unique.
-    inv_norm = float(np.abs(sol[:, n:]).sum(axis=1).max())
-    if inv_norm * np.finfo(float).eps >= 1.0:
-        return None
-    m = sol[:, :n].T.copy()
-    residual = float(np.max(np.abs(m @ gp - gt)))
-    margin = 10.0 * max(LP_RELAXATION, residual) * inv_norm
-    i, j = np.unravel_index(np.argmin(m), m.shape)
-    if m[i, j] < -margin:
-        return DivisibilityVerdict(
-            "indivisible", certificate=(
-                "Gamma(t'<-t0) is invertible and the unique M = Gamma(t<-t0) "
-                f"Gamma(t'<-t0)^-1 has M[{i}, {j}] = {m[i, j]:.6e}, below "
-                f"-{margin:.6e} = -10 * max({LP_RELAXATION:.0e}, residual) * "
-                "||Gamma(t'<-t0)^-1||_1; no column-stochastic M exists"),
-            residual=residual)
-    row = int(np.argmax(m.min(axis=1)))
-    m[row] = 1.0 - np.delete(m, row, axis=0).sum(axis=0)
-    try:
-        witness = TransitionMatrix(m, t=gamma_t.t, t0=gamma_tp.t)
-    except ValidationError:
-        return None
-    residual = float(np.max(np.abs(witness.matrix @ gp - gt)))
-    if residual > WITNESS_RESIDUAL_TOL:
-        return None
-    return DivisibilityVerdict("divisible", witness=witness, residual=residual)
+    inv_norms = np.abs(sol[live, :, n:]).sum(axis=2).max(axis=1)
+    keep = inv_norms * np.finfo(float).eps < 1.0
+    live, inv_norms = live[keep], inv_norms[keep]
+    ms = sol[live, :, :n].transpose(0, 2, 1).copy()
+    residuals = np.abs(ms @ gp[live] - gt[live]).max(axis=(1, 2))
+    for k, m, inv_norm, residual in zip(live.tolist(), ms, inv_norms.tolist(),
+                                        residuals.tolist()):
+        gamma_t, gamma_tp = pairs[k]
+        margin = 10.0 * max(LP_RELAXATION, residual) * inv_norm
+        i, j = np.unravel_index(np.argmin(m), m.shape)
+        if m[i, j] < -margin:
+            verdicts[k] = DivisibilityVerdict(
+                "indivisible", certificate=(
+                    "Gamma(t'<-t0) is invertible and the unique M = Gamma(t<-t0) "
+                    f"Gamma(t'<-t0)^-1 has M[{i}, {j}] = {m[i, j]:.6e}, below "
+                    f"-{margin:.6e} = -10 * max({LP_RELAXATION:.0e}, residual) * "
+                    "||Gamma(t'<-t0)^-1||_1; no column-stochastic M exists"),
+                residual=residual)
+            continue
+        row = int(np.argmax(m.min(axis=1)))
+        m[row] = 1.0 - np.delete(m, row, axis=0).sum(axis=0)
+        try:
+            witness = TransitionMatrix(m, t=gamma_t.t, t0=gamma_tp.t)
+        except ValidationError:
+            continue
+        residual = float(np.max(np.abs(witness.matrix @ gamma_tp.matrix
+                                       - gamma_t.matrix)))
+        if residual <= WITNESS_RESIDUAL_TOL:
+            verdicts[k] = DivisibilityVerdict("divisible", witness=witness,
+                                              residual=residual)
+    return verdicts
 
 
 def divisibility_check(gamma_t: TransitionMatrix,
@@ -258,7 +290,7 @@ def divisibility_check(gamma_t: TransitionMatrix,
     """Decide divisibility of gamma_t through gamma_tp (shared source time).
 
     The direct route comes first: when Gamma(t') is invertible, the unique
-    M = Gamma(t) Gamma(t')^-1 settles most pairs (``_direct_verdict``).  The
+    M = Gamma(t) Gamma(t')^-1 settles most pairs (``direct_verdicts``).  The
     rest go to the LP, where the entries of M form an N^2-variable
     feasibility problem: M >= 0, unit column sums, and M @ gamma_tp =
     gamma_t, with every equality relaxed to paired inequalities at
@@ -267,13 +299,7 @@ def divisibility_check(gamma_t: TransitionMatrix,
     the pivot cap is reported as indeterminate, never coerced into either
     answer.
     """
-    if gamma_t.n != gamma_tp.n:
-        raise ValidationError(
-            f"size mismatch: {gamma_t.n} vs {gamma_tp.n}")
-    if gamma_t.t0 != gamma_tp.t0:
-        raise ValidationError(
-            f"matrices must share the source time: {gamma_t.t0} vs {gamma_tp.t0}")
-    direct = _direct_verdict(gamma_t, gamma_tp)
+    direct = direct_verdicts([(gamma_t, gamma_tp)])[0]
     if direct is not None:
         return direct
 

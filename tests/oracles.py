@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: brute force, exact algebra on
 closed-form cases, or a second implementation from a different library.
-None of it imports the code under test beyond plain numpy arrays.
+None of it imports the code under test beyond plain numpy arrays, except
+``reference_direct_verdict``, an earlier version of the code kept as is.
 """
 
 import json
@@ -113,6 +114,69 @@ def direct_entry_below_margin(gamma_t: np.ndarray, gamma_tp: np.ndarray,
     inv = np.linalg.inv(gamma_tp)
     margin = 10.0 * relaxation * np.abs(inv).sum(axis=0).max()
     return bool((gamma_t @ inv)[i, j] < -margin)
+
+
+def reference_direct_verdict(gamma_t, gamma_tp):
+    """Verdict from the unique M = Gamma(t) Gamma(t')^-1, or None for the LP.
+
+    Every point of the relaxed LP is (Gamma(t) + E) Gamma(t')^-1 with
+    |E| <= LP_RELAXATION entrywise, and the computed M is (Gamma(t) + R)
+    Gamma(t')^-1 with R its residual, so the two differ by at most
+    (LP_RELAXATION + max |R|) ||Gamma(t')^-1||_1 in every entry; the norm is
+    the largest column sum of |Gamma(t')^-1|.  An entry of M below ten times
+    max(LP_RELAXATION, max |R|) ||Gamma(t')^-1||_1 rules out every
+    nonnegative point, and the LP would find the pair indivisible too.  A
+    nonnegative M is the witness, once the row with the largest minimum is
+    rebuilt from the others: the true M has unit column sums exactly, because
+    1^T Gamma(t) = 1^T Gamma(t') = 1^T.  None is returned for a singular
+    Gamma(t'), for entries too close to zero to call either way, and for a
+    witness the usual gates refuse.
+    """
+    # The per-pair direct route as it stood before pairs were stacked, kept
+    # verbatim as the reference the stacked route must match bit for bit.
+    from indivisible.errors import ValidationError
+    from indivisible.stochastic import (LP_RELAXATION, WITNESS_RESIDUAL_TOL,
+                                        DivisibilityVerdict, TransitionMatrix)
+
+    n = gamma_t.n
+    gp, gt = gamma_tp.matrix, gamma_t.matrix
+    try:
+        # Solving, rather than multiplying by the inverse, keeps the residual
+        # near machine epsilon even when Gamma(t') is badly conditioned.  The
+        # same factorization yields Gamma(t')^-T for the margin.
+        sol = np.linalg.solve(gp.T, np.hstack([gt.T, np.eye(n)]))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(sol).all():
+        return None
+    # Columns of Gamma(t') sum to 1, so ||Gamma(t')^-1||_1 is its condition
+    # number; from 1/eps on, Gamma(t') is singular to working precision and
+    # M is not unique.
+    inv_norm = float(np.abs(sol[:, n:]).sum(axis=1).max())
+    if inv_norm * np.finfo(float).eps >= 1.0:
+        return None
+    m = sol[:, :n].T.copy()
+    residual = float(np.max(np.abs(m @ gp - gt)))
+    margin = 10.0 * max(LP_RELAXATION, residual) * inv_norm
+    i, j = np.unravel_index(np.argmin(m), m.shape)
+    if m[i, j] < -margin:
+        return DivisibilityVerdict(
+            "indivisible", certificate=(
+                "Gamma(t'<-t0) is invertible and the unique M = Gamma(t<-t0) "
+                f"Gamma(t'<-t0)^-1 has M[{i}, {j}] = {m[i, j]:.6e}, below "
+                f"-{margin:.6e} = -10 * max({LP_RELAXATION:.0e}, residual) * "
+                "||Gamma(t'<-t0)^-1||_1; no column-stochastic M exists"),
+            residual=residual)
+    row = int(np.argmax(m.min(axis=1)))
+    m[row] = 1.0 - np.delete(m, row, axis=0).sum(axis=0)
+    try:
+        witness = TransitionMatrix(m, t=gamma_t.t, t0=gamma_tp.t)
+    except ValidationError:
+        return None
+    residual = float(np.max(np.abs(witness.matrix @ gp - gt)))
+    if residual > WITNESS_RESIDUAL_TOL:
+        return None
+    return DivisibilityVerdict("divisible", witness=witness, residual=residual)
 
 
 def polygon_excess(gamma, axis: str, pair) -> tuple[list, float]:

@@ -136,6 +136,119 @@ def test_divisibility_all_pairs(tmp_path, qubit_file):
     assert report["pairs"][0]["status"] == "indivisible"
 
 
+def _process_file(path, mats):
+    """A process with mats[k] stamped (k + 1 <- 0)."""
+    n = len(mats[0])
+    return write(path, {
+        "n": n, "targets": [float(k) for k in range(len(mats) + 1)],
+        "conditioning": [0.0],
+        "transitions": [{"t": float(k + 1), "t0": 0.0, "matrix": np.asarray(m).tolist()}
+                        for k, m in enumerate(mats)],
+        "initial": [1.0] + [0.0] * (n - 1)})
+
+
+def _chain(n, steps, rng):
+    acc, mats = np.eye(n), []
+    for _ in range(steps):
+        acc = rng.dirichlet(np.ones(n), size=n).T @ acc
+        mats.append(acc)
+    return mats
+
+
+def _all_pairs_bytes(tmp_path, inp, jobs):
+    out = tmp_path / f"all-{jobs}.json"
+    assert run(["divisibility", "--input", inp, "--output", out,
+                "--all-pairs", "--jobs", jobs]) == 0
+    return out.read_bytes()
+
+
+# Exactly singular: equal power-of-two columns leave an exact zero pivot, so
+# the direct route cannot use it as Gamma(t').
+SINGULAR_4 = np.tile([[0.5], [0.25], [0.125], [0.125]], (1, 4))
+
+
+def test_all_pairs_equals_each_single_pair_under_any_jobs(tmp_path):
+    rng = np.random.default_rng(31)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    unitary = [np.abs(v @ (np.exp(-0.5j * w * (k + 1))[:, None] * v.conj().T)) ** 2
+               for k in range(4)]
+    g1 = rng.dirichlet(np.ones(4), size=4).T
+    mixed = [g1, SINGULAR_4, rng.dirichlet(np.ones(4), size=4).T @ SINGULAR_4]
+    seen = set()
+    for name, mats in (("chain", _chain(5, 5, rng)), ("unitary", unitary),
+                       ("singular", mixed)):
+        inp = _process_file(tmp_path / f"{name}.json", mats)
+        report = _all_pairs_bytes(tmp_path, inp, 1)
+        assert _all_pairs_bytes(tmp_path, inp, 2) == report
+        for entry in json.loads(report)["pairs"]:
+            out = tmp_path / "single.json"
+            assert run(["divisibility", "--input", inp, "--output", out,
+                        "--t", repr(entry["t"]), "--tp", repr(entry["tp"])]) == 0
+            single = json.loads(out.read_text())
+            assert entry == {key: single[key] for key in entry}
+            assert set(single) - set(entry) == {"t0", "tolerances", "command",
+                                                "seed", "schema"}
+            seen.add(entry["status"])
+    assert seen == {"divisible", "indivisible"}
+
+
+def test_all_pairs_settled_directly_build_no_pool(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    rng = np.random.default_rng(32)
+    inp = _process_file(tmp_path / "chain.json", _chain(6, 6, rng))
+    assert _all_pairs_bytes(tmp_path, inp, 2)
+    # The patch is in force: a pair the LP must decide does reach it.
+    g1 = rng.dirichlet(np.ones(4), size=4).T
+    inp = _process_file(tmp_path / "singular.json", [SINGULAR_4, g1 @ SINGULAR_4])
+    with pytest.raises(AssertionError, match="thread pool"):
+        _all_pairs_bytes(tmp_path, inp, 2)
+
+
+def test_all_pairs_settled_directly_do_not_import_the_pool(tmp_path):
+    inp = _process_file(tmp_path / "chain.json",
+                        _chain(4, 4, np.random.default_rng(33)))
+    script = ("import sys\nfrom indivisible import cli\n"
+              f"code = cli.main(['divisibility', '--input', {inp!r}, '--output', "
+              f"{str(tmp_path / 'out.json')!r}, '--all-pairs'])\n"
+              "print(code, 'concurrent.futures' in sys.modules)\n")
+    env = dict(os.environ)
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_singular_pair_reaches_the_lp_through_the_pool(tmp_path, monkeypatch):
+    rng = np.random.default_rng(34)
+    g1 = rng.dirichlet(np.ones(4), size=4).T
+    step = rng.dirichlet(np.ones(4), size=4).T
+    inp = _process_file(tmp_path / "proc.json", [g1, SINGULAR_4, step @ SINGULAR_4])
+    calls = []
+
+    def counted(gamma_t, gamma_tp):
+        calls.append((gamma_t.t, gamma_tp.t))
+        return check(gamma_t, gamma_tp)
+
+    check = stoch.divisibility_check
+    monkeypatch.setattr(cli.stoch, "divisibility_check", counted)
+    report = _all_pairs_bytes(tmp_path, inp, 1)
+    assert calls == [(3.0, 2.0)]
+    assert _all_pairs_bytes(tmp_path, inp, 2) == report
+    assert calls == [(3.0, 2.0)] * 2
+    pairs = {(p["t"], p["tp"]): p for p in json.loads(report)["pairs"]}
+    assert pairs[3.0, 2.0]["status"] == "divisible"  # M = step, found by the LP
+    assert pairs[3.0, 2.0]["residual"] <= stoch.WITNESS_RESIDUAL_TOL
+
+
 def test_divisibility_explicit_pair_divisible(tmp_path):
     g1 = [[0.7, 0.2], [0.3, 0.8]]
     m = np.array([[0.9, 0.4], [0.1, 0.6]])
@@ -492,6 +605,18 @@ def test_out_of_range_input_exits_1(tmp_path, capsys, case):
     assert err["error"]["field"] == field
     assert not out.exists()
     assert not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("command, text", [("embed", '{"law": "free"}'),
+                                           ("sh-sim", HERMITIAN_2_TEXT)])
+def test_grid_step_count_message(tmp_path, capsys, command, text):
+    inp = tmp_path / "in.json"
+    inp.write_text(text)
+    assert run([command, "--input", inp, "--output", tmp_path / "out.json",
+                "--dt", "1e-300", "--T", "1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "field": "--dt",
+        "message": "--T / --dt is 1e+300 steps, more than an array can hold"}
 
 
 @pytest.mark.filterwarnings("error")

@@ -27,7 +27,8 @@ from indivisible.embed import (
     xy_inverse,
     xy_transform,
 )
-from indivisible.errors import DomainError, IntegrationError, ValidationError
+from indivisible.errors import (MAX_GRID_STEPS, DomainError, IntegrationError,
+                                ValidationError, uniform_grid)
 from indivisible.oscillator import PhaseSpaceState, SHSystem, sh_integrate
 
 from oracles import ReferenceBlowup, reference_reversal_probe, reference_rk4
@@ -266,6 +267,23 @@ def test_grid_refuses_a_step_or_span_that_is_not_positive_and_finite(
     grid = {"dt": 0.1, "duration": 1.0, arg: bad}
     with pytest.raises(ValueError, match=f"^{arg} must be positive and finite"):
         GRID_INTEGRATORS[integrator](grid["dt"], grid["duration"])
+
+
+def test_grid_refuses_a_step_count_no_array_can_hold():
+    with pytest.raises(ValueError, match="^dt is too small"):
+        uniform_grid(1e-300, 1.0)
+    # below the bound a huge count is still returned, not refused
+    steps, step = uniform_grid(1.0, MAX_GRID_STEPS / 2)
+    assert steps == round(MAX_GRID_STEPS / 2) and step == 1.0
+
+
+@pytest.mark.parametrize("integrator", sorted(GRID_INTEGRATORS))
+@pytest.mark.parametrize("dt, duration", [(1e-300, 1.0), (1e-300, 1e300)])
+def test_integrators_refuse_a_step_count_no_array_can_hold(integrator, dt,
+                                                           duration):
+    # (1e-300, 1e300) has an infinite count: round() raised OverflowError
+    with pytest.raises(ValueError, match="^dt is too small"):
+        GRID_INTEGRATORS[integrator](dt, duration)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from indivisible.stochastic import (
     Distribution,
     IndivisibleProcess,
     TransitionMatrix,
+    direct_verdicts,
     divisibility_check,
     markov_compose,
     pairwise_joint,
@@ -26,6 +27,7 @@ from oracles import (
     grid_divisible,
     qubit_rotation_gamma,
     random_column_stochastic,
+    reference_direct_verdict,
 )
 
 
@@ -333,3 +335,106 @@ def test_structural_zeros_need_no_lp(monkeypatch):
     divisibility_check(TransitionMatrix(perm @ g1, t=2.0, t0=0.0),
                        TransitionMatrix(g1, t=1.0, t0=0.0))
     assert len(calls) == 1
+
+
+def _all_pairs(mats):
+    chain = [TransitionMatrix(m, t=float(k + 1), t0=0.0)
+             for k, m in enumerate(mats)]
+    return [(hi, lo) for i, hi in enumerate(chain) for lo in chain[:i]]
+
+
+def _markov_chain(n, steps, rng):
+    acc, mats = np.eye(n), []
+    for _ in range(steps):
+        acc = rng.dirichlet(np.ones(n), size=n).T @ acc
+        mats.append(acc)
+    return mats
+
+
+def _unitary_family(n, steps, rng):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    w, v = np.linalg.eigh((z + z.conj().T) / 2.0)
+    dt = float(rng.uniform(0.2, 0.8))
+    return [np.abs(v @ (np.exp(-1j * w * dt * (k + 1))[:, None] * v.conj().T)) ** 2
+            for k in range(steps)]
+
+
+def assert_matches_reference(pairs) -> list:
+    """The stacked route gives each pair the reference's status, certificate
+    text, residual bits and witness bits; returns the statuses (None for
+    the LP)."""
+    got = direct_verdicts(pairs)
+    assert len(got) == len(pairs)
+    statuses = []
+    for (gamma_t, gamma_tp), verdict in zip(pairs, got):
+        want = reference_direct_verdict(gamma_t, gamma_tp)
+        statuses.append(None if want is None else want.status)
+        if want is None:
+            assert verdict is None
+            continue
+        assert verdict.status == want.status
+        assert verdict.certificate == want.certificate
+        assert verdict.residual.hex() == want.residual.hex()
+        if want.witness is None:
+            assert verdict.witness is None
+        else:
+            assert np.array_equal(verdict.witness.matrix, want.witness.matrix)
+            assert (verdict.witness.t, verdict.witness.t0) == (
+                want.witness.t, want.witness.t0)
+    return statuses
+
+
+def test_stacked_route_matches_the_per_pair_route_on_markov_chains():
+    rng = np.random.default_rng(21)
+    seen = set()
+    for n in range(2, 11):
+        for steps in (3, 7, 12):
+            seen.update(assert_matches_reference(
+                _all_pairs(_markov_chain(n, steps, rng))))
+    assert "divisible" in seen  # by construction
+
+
+def test_stacked_route_matches_the_per_pair_route_on_unitary_families():
+    rng = np.random.default_rng(22)
+    seen = set()
+    for n in range(4, 11):
+        for _ in range(3):
+            seen.update(assert_matches_reference(
+                _all_pairs(_unitary_family(n, 6, rng))))
+    assert "indivisible" in seen
+
+
+def test_one_exactly_singular_gamma_leaves_the_other_pairs_direct():
+    rng = np.random.default_rng(23)
+    g1 = random_column_stochastic(4, rng)
+    # Equal power-of-two columns: elimination leaves an exact zero pivot.
+    singular = np.tile([[0.5], [0.25], [0.125], [0.125]], (1, 4))
+    g3 = random_column_stochastic(4, rng) @ g1
+    pairs = _all_pairs([g1, singular, g3])
+    stack = np.stack([gamma_tp.matrix.T for _, gamma_tp in pairs])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(stack, stack)
+    statuses = assert_matches_reference(pairs)
+    # Pairs (2, 1), (3, 1), (3, 2): only the last stands on the singular one.
+    assert statuses[2] is None
+    assert None not in statuses[:2]
+
+
+def test_a_non_finite_solve_leaves_only_its_own_pair_to_the_lp():
+    # The pivot 1e-310 is nonzero, so LAPACK solves, and the inverse overflows.
+    tiny = np.array([[1e-310, 0.0], [1.0, 1.0]])
+    assert not np.isfinite(np.linalg.solve(tiny.T, np.eye(2))).all()
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    mix = np.array([[0.75, 0.5], [0.25, 0.5]])
+    pairs = _all_pairs([mix, tiny, swap @ mix])
+    statuses = assert_matches_reference(pairs)
+    assert statuses[2] is None
+    assert None not in statuses[:2]
+
+
+def test_stacked_route_refuses_pairs_of_different_sizes():
+    small = TransitionMatrix(np.eye(2), t=1.0, t0=0.0)
+    large = TransitionMatrix(np.eye(3), t=1.0, t0=0.0)
+    with pytest.raises(ValidationError, match="pairs differ in size"):
+        direct_verdicts([(small, small), (large, large)])
+    assert direct_verdicts([]) == []
