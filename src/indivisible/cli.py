@@ -249,6 +249,7 @@ def _cmd_divisibility(args) -> int:
     _require_finite("--t", args.t)
     _require_finite("--tp", args.tp)
     _require_finite("--t0", args.t0)
+    _require_positive("--jobs", args.jobs)
     process = ser.parse_process(ser.load_json(args.input))
     tolerances = {"witness_residual": stoch.WITNESS_RESIDUAL_TOL,
                   "lp_relaxation": stoch.LP_RELAXATION,
@@ -263,7 +264,7 @@ def _cmd_divisibility(args) -> int:
         if rest:
             # Deferred: a run settled directly skips this import's peak RSS.
             from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 for k, v in zip(rest, pool.map(
                         lambda k: stoch.divisibility_check(*gammas[k]), rest)):
                     verdicts[k] = v
@@ -434,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=None)
     p.add_argument("--all-pairs", action="store_true")
     p.add_argument("--jobs", type=int, default=1,
-                   help="with --all-pairs: threads for the pairs the LP decides; "
-                   "the rest are settled by one stacked solve in the calling "
-                   "thread")
+                   help="with --all-pairs: threads, at least 1, for the pairs "
+                   "the LP decides; the rest are settled by stacked array "
+                   "passes in the calling thread")
     p.set_defaults(handler=_cmd_divisibility)
 
     p = subs.add_parser("correspond", help="unitary to transition matrix")

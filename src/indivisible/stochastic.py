@@ -11,8 +11,10 @@ even when both endpoints are perfectly lawful.  ``divisibility_check`` decides
 that question directly from the unique candidate M = Gamma(t) Gamma(t')^-1
 when Gamma(t') is invertible, and otherwise as a linear feasibility problem
 over the entries of M.  ``direct_verdicts`` is that direct route for many
-pairs at once: one stacked solve decides every pair it can, with the bits
-each would get alone, and marks the rest (None) for the LP.
+pairs at once: array passes over the whole stack (one solve, the margins,
+the row rebuild, the witness residuals) decide every pair it can, with the
+bits each would get alone, and mark the rest (None) for the LP.  Only the
+certificate text and each witness's ``TransitionMatrix`` stay per pair.
 """
 
 from __future__ import annotations
@@ -74,11 +76,14 @@ class TransitionMatrix(SquareMatrix):
 
     def __post_init__(self):
         m = square_matrix(self.matrix, float)
-        bad_neg = np.flatnonzero((m < -NEGATIVE_CLAMP).any(axis=0)).tolist()
-        m = np.where(m < 0.0, np.where(m >= -NEGATIVE_CLAMP, 0.0, m), m)
+        low = m.min(initial=0.0)
+        if low < 0.0:
+            # Entries in [-NEGATIVE_CLAMP, 0) become +0.0; -0.0 keeps its sign.
+            m[(m < 0.0) & (m >= -NEGATIVE_CLAMP)] = 0.0
         sums = m.sum(axis=0)
-        bad_sum = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL).tolist()
-        if bad_neg or bad_sum:
+        if low < -NEGATIVE_CLAMP or np.abs(sums - 1.0).max(initial=0.0) > SUM_TOL:
+            bad_neg = np.flatnonzero((m < -NEGATIVE_CLAMP).any(axis=0)).tolist()
+            bad_sum = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL).tolist()
             raise ValidationError(
                 "matrix is not column-stochastic; offending columns "
                 f"(negative entries: {bad_neg}, bad sums: {bad_sum})",
@@ -216,9 +221,13 @@ def direct_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
     witness the usual gates refuse.
 
     The two matrices of a pair share their source time, and all pairs share
-    one size.  The solve, the norms and the first residuals are computed once
-    for the whole (k, n, n) stack; each pair's verdict has the bits it has
-    alone.
+    one size.  One pass over the whole (k, n, n) stack each gives the solve,
+    the norms, the first residuals, the margins, the first-minimum entries,
+    the indivisible mask and the row rebuild, and one matmul over the
+    witnesses that pass ``TransitionMatrix`` gives their residuals.  Per
+    pair remain the certificate text of an indivisible pair and the
+    ``TransitionMatrix`` of a proposed witness.  Each pair's verdict has the
+    bits it has alone.
     """
     if not pairs:
         return []
@@ -257,31 +266,44 @@ def direct_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
     live, inv_norms = live[keep], inv_norms[keep]
     ms = sol[live, :, :n].transpose(0, 2, 1).copy()
     residuals = np.abs(ms @ gp[live] - gt[live]).max(axis=(1, 2))
-    for k, m, inv_norm, residual in zip(live.tolist(), ms, inv_norms.tolist(),
-                                        residuals.tolist()):
-        gamma_t, gamma_tp = pairs[k]
-        margin = 10.0 * max(LP_RELAXATION, residual) * inv_norm
-        i, j = np.unravel_index(np.argmin(m), m.shape)
-        if m[i, j] < -margin:
-            verdicts[k] = DivisibilityVerdict(
-                "indivisible", certificate=(
-                    "Gamma(t'<-t0) is invertible and the unique M = Gamma(t<-t0) "
-                    f"Gamma(t'<-t0)^-1 has M[{i}, {j}] = {m[i, j]:.6e}, below "
-                    f"-{margin:.6e} = -10 * max({LP_RELAXATION:.0e}, residual) * "
-                    "||Gamma(t'<-t0)^-1||_1; no column-stochastic M exists"),
-                residual=residual)
-            continue
-        row = int(np.argmax(m.min(axis=1)))
-        m[row] = 1.0 - np.delete(m, row, axis=0).sum(axis=0)
+    margins = 10.0 * np.maximum(LP_RELAXATION, residuals) * inv_norms
+    flat = ms.reshape(len(live), n * n)
+    firsts = flat.argmin(axis=1)
+    lows = flat[np.arange(len(live)), firsts]
+    indivisible = lows < -margins
+    for p in np.flatnonzero(indivisible).tolist():
+        i, j = divmod(int(firsts[p]), n)
+        verdicts[int(live[p])] = DivisibilityVerdict(
+            "indivisible", certificate=(
+                "Gamma(t'<-t0) is invertible and the unique M = Gamma(t<-t0) "
+                f"Gamma(t'<-t0)^-1 has M[{i}, {j}] = {lows[p]:.6e}, below "
+                f"-{margins[p]:.6e} = -10 * max({LP_RELAXATION:.0e}, residual) * "
+                "||Gamma(t'<-t0)^-1||_1; no column-stochastic M exists"),
+            residual=float(residuals[p]))
+    if indivisible.all():
+        return verdicts
+    live, ms = live[~indivisible], ms[~indivisible]
+    # The row with the largest minimum becomes 1 - (sum of the other rows,
+    # in index order).  Adding the zeroed row can flip only the sign of a
+    # zero sum, which 1 - sum does not see.
+    rebuilt = np.arange(len(live)), ms.min(axis=2).argmax(axis=1)
+    others = ms.copy()
+    others[rebuilt] = 0.0
+    ms[rebuilt] = 1.0 - others.sum(axis=1)
+    witnesses = {}
+    for k, m in zip(live.tolist(), ms):
         try:
-            witness = TransitionMatrix(m, t=gamma_t.t, t0=gamma_tp.t)
+            witnesses[k] = TransitionMatrix(m, t=pairs[k][0].t, t0=pairs[k][1].t)
         except ValidationError:
-            continue
-        residual = float(np.max(np.abs(witness.matrix @ gamma_tp.matrix
-                                       - gamma_t.matrix)))
-        if residual <= WITNESS_RESIDUAL_TOL:
-            verdicts[k] = DivisibilityVerdict("divisible", witness=witness,
-                                              residual=residual)
+            pass
+    if witnesses:
+        done = list(witnesses)
+        stack = np.stack([witness.matrix for witness in witnesses.values()])
+        final = np.abs(stack @ gp[done] - gt[done]).max(axis=(1, 2))
+        for (k, witness), residual in zip(witnesses.items(), final.tolist()):
+            if residual <= WITNESS_RESIDUAL_TOL:
+                verdicts[k] = DivisibilityVerdict("divisible", witness=witness,
+                                                  residual=residual)
     return verdicts
 
 

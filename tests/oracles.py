@@ -3,7 +3,8 @@
 Everything here is deliberately naive: brute force, exact algebra on
 closed-form cases, or a second implementation from a different library.
 None of it imports the code under test beyond plain numpy arrays, except
-``reference_direct_verdict``, an earlier version of the code kept as is.
+``reference_direct_verdict`` and ``reference_transition_matrix``, earlier
+versions of the code kept as they were.
 """
 
 import json
@@ -177,6 +178,31 @@ def reference_direct_verdict(gamma_t, gamma_tp):
     if residual > WITNESS_RESIDUAL_TOL:
         return None
     return DivisibilityVerdict("divisible", witness=witness, residual=residual)
+
+
+def reference_transition_matrix(matrix) -> np.ndarray:
+    """The clamped array ``TransitionMatrix(matrix)`` stores, or the
+    ValidationError it raises.
+
+    ``TransitionMatrix.__post_init__`` as it stood before its gates became
+    whole-array reductions, kept verbatim: it lists the offending columns on
+    every call, passing or not.
+    """
+    from indivisible.errors import ValidationError, square_matrix
+    from indivisible.stochastic import NEGATIVE_CLAMP, SUM_TOL
+
+    m = square_matrix(matrix, float)
+    bad_neg = np.flatnonzero((m < -NEGATIVE_CLAMP).any(axis=0)).tolist()
+    m = np.where(m < 0.0, np.where(m >= -NEGATIVE_CLAMP, 0.0, m), m)
+    sums = m.sum(axis=0)
+    bad_sum = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL).tolist()
+    if bad_neg or bad_sum:
+        raise ValidationError(
+            "matrix is not column-stochastic; offending columns "
+            f"(negative entries: {bad_neg}, bad sums: {bad_sum})",
+            negative_columns=bad_neg, sum_columns=bad_sum,
+            column_sums=sums.tolist())
+    return m
 
 
 def polygon_excess(gamma, axis: str, pair) -> tuple[list, float]:

@@ -136,6 +136,17 @@ def test_divisibility_all_pairs(tmp_path, qubit_file):
     assert report["pairs"][0]["status"] == "indivisible"
 
 
+def test_divisibility_refuses_fewer_than_one_job(tmp_path, qubit_file, capsys):
+    out = tmp_path / "div.json"
+    cfg = write(tmp_path / "jobs.json", {"jobs": 0})
+    for extra in (["--jobs", "0"], ["--jobs", "-2"], ["--config", cfg]):
+        assert run(["divisibility", "--input", qubit_file, "--output", out,
+                    "--all-pairs", *extra]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["field"] == "--jobs"
+        assert not out.exists()
+
+
 def _process_file(path, mats):
     """A process with mats[k] stamped (k + 1 <- 0)."""
     n = len(mats[0])

@@ -10,6 +10,7 @@ from indivisible.errors import ValidationError
 from indivisible.lp import find_nonnegative_solution
 from indivisible.stochastic import (
     LP_RELAXATION,
+    NEGATIVE_CLAMP,
     WITNESS_RESIDUAL_TOL,
     Distribution,
     IndivisibleProcess,
@@ -28,6 +29,7 @@ from oracles import (
     qubit_rotation_gamma,
     random_column_stochastic,
     reference_direct_verdict,
+    reference_transition_matrix,
 )
 
 
@@ -62,6 +64,83 @@ def test_transition_matrix_validation_names_the_column():
     assert details["column_sums"] == pytest.approx([1.0, 1.0, 0.9], abs=1e-15)
     assert all(type(j) is int for j in details["negative_columns"]
                + details["sum_columns"])
+
+
+def test_transition_matrix_clamps_tiny_negatives_to_positive_zero():
+    m = np.array([[1.0, 0.5, 1.0],
+                  [-0.0, 0.5, -NEGATIVE_CLAMP],
+                  [0.0, -5e-15, -5e-324]])
+    stored = TransitionMatrix(m).matrix
+    assert stored[1, 0] == 0.0 and np.signbit(stored[1, 0])
+    for i, j in ((1, 2), (2, 1), (2, 2)):
+        assert stored[i, j] == 0.0 and not np.signbit(stored[i, j])
+    kept = np.ones(m.shape, dtype=bool)
+    kept[[1, 2, 2], [2, 1, 2]] = False
+    assert stored[kept].tobytes() == m[kept].tobytes()
+
+
+def test_transition_matrix_leaves_the_callers_array_alone():
+    clamped = np.array([[1.0, 0.5], [-5e-15, 0.5]])
+    refused = np.array([[1.1, 0.5], [-5e-15, 0.6]])  # tiny negative, bad sums
+    for m in (clamped, refused):
+        before = m.tobytes()
+        try:
+            TransitionMatrix(m)
+        except ValidationError:
+            pass
+        assert m.tobytes() == before and m.flags.writeable
+
+
+def test_transition_matrix_failing_both_gates_lists_the_same_columns():
+    # column 0 holds -0.1 and sums to 1; column 1 holds a clamped entry and
+    # sums to 1.1; column 2 holds -0.2 and sums to 0.8
+    m = np.array([[1.1, 0.6, 0.5], [-0.1, 0.5, 0.5], [0.0, -5e-15, -0.2]])
+    with pytest.raises(ValidationError) as want:
+        reference_transition_matrix(m)
+    with pytest.raises(ValidationError) as got:
+        TransitionMatrix(m)
+    assert str(got.value) == str(want.value)
+    assert got.value.details["negative_columns"] == [0, 2]
+    assert got.value.details["sum_columns"] == [1, 2]
+    assert repr(got.value.details) == repr(want.value.details)
+
+
+def test_transition_matrix_validation_matches_the_reference():
+    """Accept or refuse, the stored bits and the error text and details
+    agree with the validation that listed offending columns on every call."""
+    rng = np.random.default_rng(31)
+    specials = [-0.0, 0.0, -NEGATIVE_CLAMP, np.nextafter(-NEGATIVE_CLAMP, -1.0),
+                -5e-15, -5e-324, -1e-3]
+    seen = set()
+    for _ in range(3000):
+        n = int(rng.integers(0, 6))
+        m = random_column_stochastic(n, rng)
+        for _ in range(int(rng.integers(0, 4)) if n > 1 else 0):
+            i, other, j = *rng.choice(n, size=2, replace=False), rng.integers(n)
+            value = specials[rng.integers(len(specials))]
+            m[other, j] += m[i, j] - value
+            m[i, j] = value
+        for j in range(n):
+            m[:, j] *= 1.0 + [0.0, 0.0, 4e-13, -4e-13, 3e-12, -3e-12][
+                rng.integers(6)]
+        before = m.tobytes()
+        try:
+            want = reference_transition_matrix(m)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as err:
+                TransitionMatrix(m)
+            assert str(err.value) == str(exc)
+            assert repr(err.value.details) == repr(exc.details)
+            seen.add(("refused", bool(exc.details["negative_columns"]),
+                      bool(exc.details["sum_columns"])))
+        else:
+            assert TransitionMatrix(m).matrix.tobytes() == want.tobytes()
+            seen.add(("accepted", bool(((m < 0.0) & (m >= -NEGATIVE_CLAMP))
+                                       .any())))
+        assert m.tobytes() == before
+    assert seen == {("accepted", False), ("accepted", True),
+                    ("refused", True, False), ("refused", False, True),
+                    ("refused", True, True)}
 
 
 def test_transition_matrix_requires_square():
@@ -430,6 +509,74 @@ def test_a_non_finite_solve_leaves_only_its_own_pair_to_the_lp():
     statuses = assert_matches_reference(pairs)
     assert statuses[2] is None
     assert None not in statuses[:2]
+
+
+def _growth_gamma(n):
+    """Column-stochastic Gamma whose transpose LU with partial pivoting
+    factors with growth 2^(n-3).
+
+    Row 0 is the first pivot, and eliminating it leaves Wilkinson's matrix
+    (1 on the diagonal, -1 below it, 1 in its last column) in columns
+    1 .. n-2, whose last column doubles at every step.  The last column
+    makes the row sums equal.  Every entry is a small integer over a power
+    of two, so the elimination is exact and its ties stay ties; the residual
+    of a solve grows like eps 2^n while ||Gamma^-1||_1 stays near 1.5e3.
+    """
+    k = n - 2
+    a = np.zeros((n, n))
+    a[0, 0], a[0, 1:k + 1] = 1.0, 2.0
+    a[1:k + 1, 0] = 1.0
+    a[1:k + 1, 1:k + 1] = 2.0 + np.eye(k) - np.tril(np.ones((k, k)), -1)
+    a[1:k + 1, k] = 3.0
+    a[k + 1, 0], a[k + 1, 1:k + 1] = 0.5, 1.0
+    total = 2.0 ** np.ceil(np.log2(a.sum(axis=1).max() + 1.0))
+    a[:, -1] = total - a.sum(axis=1)
+    return (a / total).T
+
+
+def _rebuilt_witness(gamma_t, gamma_tp):
+    """M = Gamma(t) Gamma(t')^-1 with its largest-minimum row rebuilt from
+    the unit column sums: the witness the direct route proposes."""
+    m = np.linalg.solve(gamma_tp.matrix.T, gamma_t.matrix.T).T.copy()
+    row = int(np.argmax(m.min(axis=1)))
+    m[row] = 1.0 - np.delete(m, row, axis=0).sum(axis=0)
+    return m
+
+
+def test_stacked_route_settles_a_stack_that_mixes_every_outcome():
+    n = 44
+    rng = np.random.default_rng(24)
+    base = random_column_stochastic(n, rng)
+    mixing = random_column_stochastic(n, rng)
+    # M[1, 0] = -1e-10: above the margin of at least 1e-9, below -1e-14
+    shifted = random_column_stochastic(n, rng)
+    shifted[0, 0] += shifted[1, 0] + 1e-10
+    shifted[1, 0] = -1e-10
+    # powers of two summing to 1 exactly: elimination leaves exact zeros
+    column = 0.5 ** np.minimum(np.arange(1, n + 1), n - 1)
+    growth = _growth_gamma(n)
+    pairs = [(TransitionMatrix(hi, t=2.0 * k + 2.0, t0=0.0),
+              TransitionMatrix(lo, t=2.0 * k + 1.0, t0=0.0))
+             for k, (hi, lo) in enumerate([
+                 (mixing @ base, base),           # divisible
+                 (base, mixing @ base),           # indivisible
+                 (shifted @ base, base),          # witness refused
+                 (base, np.tile(column[:, None], (1, n))),  # singular
+                 (mixing @ growth, growth),       # witness residual over 1e-9
+             ])]
+    refused, singular, inexact = pairs[2:]
+    with pytest.raises(ValidationError, match=r"negative entries: \[0\]"):
+        TransitionMatrix(_rebuilt_witness(*refused))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(singular[1].matrix.T, singular[0].matrix.T)
+    witness = TransitionMatrix(_rebuilt_witness(*inexact))
+    assert np.abs(witness.matrix @ inexact[1].matrix
+                  - inexact[0].matrix).max() > WITNESS_RESIDUAL_TOL
+    assert assert_matches_reference(pairs) == [
+        "divisible", "indivisible", None, None, None]
+    # Without the singular pair the other four share one stacked solve.
+    assert assert_matches_reference(pairs[:3] + pairs[4:]) == [
+        "divisible", "indivisible", None, None]
 
 
 def test_stacked_route_refuses_pairs_of_different_sizes():
