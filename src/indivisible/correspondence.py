@@ -66,7 +66,7 @@ class UnitaryMatrix(SquareMatrix):
     def __post_init__(self):
         m = square_matrix(self.matrix, complex)
         dev = completeness_deviation(m)
-        if dev > UNITARITY_TOL:
+        if not dev <= UNITARITY_TOL:
             raise ValidationError(
                 f"matrix is not unitary: max |U^dag U - 1| = {dev:.3e}",
                 deviation=dev)
@@ -116,7 +116,7 @@ class KrausSet:
                 raise ValidationError(
                     f"operator {beta} has support outside column {beta}")
         dev = completeness_deviation(*ops)
-        if dev > KRAUS_IDENTITY_TOL:
+        if not dev <= KRAUS_IDENTITY_TOL:
             raise ValidationError(
                 f"completeness fails: max |sum K^dag K - 1| = {dev:.3e}",
                 deviation=dev)

@@ -81,18 +81,27 @@ def square_matrix(arr, dtype) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, tol: float) -> None:
-    """ValidationError when max |M - M^dag| exceeds ``tol``."""
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > tol:
+    """ValidationError unless max |M - M^dag| is at most ``tol``.
+
+    A difference too large for a float is inf and fails the gate.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if not dev <= tol:
         raise ValidationError(
             f"matrix is not hermitian: max |H - H^dag| = {dev:.3e} "
             f"exceeds {tol:.0e}", deviation=dev)
 
 
 def completeness_deviation(*ops: np.ndarray) -> float:
-    """max |sum_k K_k^dag K_k - 1|; for a single operator, its unitarity defect."""
-    total = sum(k.conj().T @ k for k in ops)
-    return float(np.max(np.abs(total - np.eye(total.shape[0]))))
+    """max |sum_k K_k^dag K_k - 1|; for a single operator, its unitarity defect.
+
+    Entries too large to square give inf or NaN, never a warning; callers
+    accept only ``dev <= tol``, which refuses both.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(k.conj().T @ k for k in ops)
+        return float(np.max(np.abs(total - np.eye(total.shape[0]))))
 
 
 # A time grid has fewer steps than this; past it, its float arrays would not

@@ -21,10 +21,18 @@ matching the componentwise Schrodinger equation.)
 Time evolution is integrated symplectically: the A-part and B-part of H_SH
 are each exactly solvable (mode rotations and an orthogonal flow), and a
 Strang composition B/2 . A . B/2 gives a second-order scheme whose energy
-error stays bounded instead of drifting.  Since H_SH is quadratic the whole
-step is one precomputed linear map on (q, p), so a stride of s steps is the
-single map step**s, built by repeated squaring; the integrator applies it
-once per recorded sample instead of looping over steps.
+error stays bounded instead of drifting.
+
+Both sub-flows commute with the complex structure J: (q, p) -> (-p, q),
+which is multiplication by i on z = q + i p: the A-flow turns q and p
+through the same mode rotations, the B-flow moves both by the same
+orthogonal matrix.  A real map commuting with J is the real form
+[[Re S, -Im S], [Im S, Re S]] of an N x N complex S, so the step is the
+unitary S = exp(B dt/2) exp(-i A dt) exp(B dt/2) acting on z.  That is the
+paper's point in miniature: the real phase space carries the Schrodinger
+flow only together with J, and with J it is complex Hilbert-space
+evolution.  Since H_SH is quadratic, a stride of s steps is the single
+N x N map S**s, built by repeated squaring and applied once per sample.
 
 The post-processing functions (sh_energy, sh_recombine, exact_evolve) take
 a whole trajectory, or an array of times, as readily as a single state: the
@@ -68,8 +76,10 @@ class StateVector:
         v = np.array(self.psi, dtype=complex).reshape(-1)
         require_finite(v, "state")
         if self.normalized:
-            nrm = float(np.linalg.norm(v))
-            if abs(nrm - 1.0) > NORMALIZATION_TOL:
+            # A norm too large for a float is inf and fails the gate.
+            with np.errstate(over="ignore"):
+                nrm = float(np.linalg.norm(v))
+            if not abs(nrm - 1.0) <= NORMALIZATION_TOL:
                 raise ValidationError(
                     f"state norm {nrm!r} deviates from 1 by more than "
                     f"{NORMALIZATION_TOL:.0e}", norm=nrm)
@@ -124,12 +134,13 @@ def sh_decompose(h: HermitianMatrix) -> SHSystem:
 
     Averaging an entry with its transpose partner keeps every value within
     the hermiticity tolerance of the input while making A = A^T and
-    B = -B^T hold bitwise.
+    B = -B^T hold bitwise.  Halving before adding cannot overflow, and for
+    normal entries it gives the bits of halving the sum.
     """
-    re = h.matrix.real
-    im = h.matrix.imag
-    a = (re + re.T) / 2.0
-    b = (im - im.T) / 2.0
+    re = h.matrix.real / 2.0
+    im = h.matrix.imag / 2.0
+    a = re + re.T
+    b = im - im.T
     return SHSystem(a, b)
 
 
@@ -153,14 +164,13 @@ def sh_energy(system: SHSystem, state: PhaseSpaceState | PhaseTrajectory
               ) -> float | np.ndarray:
     """Classical energy 1/2 p.A p + p.B q + 1/2 q.A q.
 
-    Equals Re <Psi|H|Psi> = <Psi|H|Psi> for Psi recombined from (q, p).  With
-    x = (q, p) it is the quadratic form x.K x for K = [[A/2, 0], [B, A/2]],
-    taken row by row, so a trajectory gives one energy per sample.
+    Equals Re <Psi|H|Psi> = <Psi|H|Psi> for Psi recombined from (q, p), that
+    is 1/2 Re(conj(z) . H z) for z = q + i p, taken row by row, so a
+    trajectory gives one energy per sample.
     """
-    a, b = system.a, system.b
-    k = np.block([[a / 2.0, np.zeros_like(b)], [b, a / 2.0]])
-    x = np.concatenate([state.q, state.p], axis=-1)
-    e = np.einsum("...i,...i->...", x @ k, x)
+    z = state.q + 1j * state.p
+    e = 0.5 * np.einsum("...i,...i->...", z.conj() @ (system.a + 1j * system.b),
+                        z).real
     return float(e) if e.ndim == 0 else e
 
 
@@ -187,40 +197,25 @@ class PhaseTrajectory:
         return PhaseSpaceState(self.q[k], self.p[k])
 
 
-def _mode_rotation(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    # Exact flow of the A-only Hamiltonian: per-mode rotation by eigenvalue * dt.
-    w, v = np.linalg.eigh(a)
-    cos = (v * np.cos(w * dt)) @ v.T
-    sin = (v * np.sin(w * dt)) @ v.T
-    return cos, sin
-
-def _orthogonal_flow(b: np.ndarray, dt: float) -> np.ndarray:
-    # Exact flow exp(B dt) of the B-only Hamiltonian; B antisymmetric makes
-    # iB hermitian, so the exponential comes out of a hermitian eigensolve.
-    w, v = np.linalg.eigh(1j * b)
-    r = (v * np.exp(-1j * w * dt)) @ v.conj().T
-    return np.ascontiguousarray(r.real)
+def _unitary_flow(h: np.ndarray, s: float) -> np.ndarray:
+    # exp(-i h s) for hermitian h, from one eigendecomposition.
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * s)) @ v.conj().T
 
 
-def _strang_step_matrix(system: SHSystem, dt: float) -> np.ndarray:
-    """One Strang step (B half, A full, B half) as a 2N x 2N linear map."""
-    n = system.n
-    cos, sin = _mode_rotation(system.a, dt)
-    half = _orthogonal_flow(system.b, dt / 2.0)
-    step_a = np.block([[cos, sin], [-sin, cos]])
-    step_b = np.zeros((2 * n, 2 * n))
-    step_b[:n, :n] = half
-    step_b[n:, n:] = half
-    return step_b @ step_a @ step_b
+def _step_matrix(system: SHSystem, dt: float, method: str) -> np.ndarray:
+    """One step of ``method`` as an N x N complex map on z = q + i p.
 
-
-def _rk4_step_matrix(system: SHSystem, dt: float) -> np.ndarray:
-    """Classical RK4 on the linear field (q', p') = (Ap + Bq, Bp - Aq)."""
-    n = system.n
-    gen = np.block([[system.b, system.a], [-system.a, system.b]])
-    eye = np.eye(2 * n)
-    m = eye.copy()
-    term = eye.copy()
+    "strang" is B half, A full, B half: exp(B dt/2) comes from the hermitian
+    iB and is real orthogonal, exp(-i A dt) from A.  "rk4" is classical RK4
+    on the linear field z' = -i H z with H = A + i B, the sum of
+    (-i H dt)^k / k! for k = 0..4.
+    """
+    if method == "strang":
+        half = _unitary_flow(1j * system.b, dt / 2.0).real
+        return half @ _unitary_flow(system.a, dt) @ half
+    gen = system.b - 1j * system.a
+    m = term = np.eye(system.n, dtype=complex)
     for k in (1, 2, 3, 4):
         term = (gen @ term) * (dt / k)
         m = m + term
@@ -230,18 +225,18 @@ def _rk4_step_matrix(system: SHSystem, dt: float) -> np.ndarray:
 def sh_integrate(system: SHSystem, state: PhaseSpaceState, dt: float,
                  duration: float, method: str = "strang",
                  sample_stride: int = 1) -> PhaseTrajectory:
-    """Evolve (q, p) on the grid of ``errors.uniform_grid(dt, duration)``.
+    """Evolve z = q + i p on the grid of ``errors.uniform_grid(dt, duration)``.
 
     Its round(duration / dt) steps cover [0, duration] exactly, so the step
     equals dt only when dt divides duration.  method is one of SH_METHODS:
     "strang" is the symplectic default; "rk4" is kept for comparison runs
     and has no symplecticity guarantee.
     sample_stride > 1 records every stride-th step (the first and last steps
-    are always included).  The stride is taken as one matrix, step**stride,
-    so each recorded sample costs one matrix-vector product; stride 1 does
-    exactly the products of a step-by-step loop.  A method that blows up
-    (rk4 at too large a step) raises IntegrationError naming the first
-    recorded step whose sample is not finite.
+    are always included).  The stride is taken as one N x N complex matrix,
+    step**stride, so each recorded sample costs one matrix-vector product;
+    stride 1 does exactly the products of a step-by-step loop.  A method
+    that blows up (rk4 at too large a step) raises IntegrationError naming
+    the first recorded step whose sample is not finite.
     """
     n_steps, dt = uniform_grid(dt, duration)
     if sample_stride < 1:
@@ -253,12 +248,11 @@ def sh_integrate(system: SHSystem, state: PhaseSpaceState, dt: float,
     idx = stride * np.arange(jumps + 1)
     if tail:
         idx = np.append(idx, n_steps)
-    samples = np.empty((len(idx), 2 * system.n))
-    samples[0] = np.concatenate([state.q, state.p])
+    samples = np.empty((len(idx), system.n), dtype=complex)
+    samples[0] = state.q + 1j * state.p
     # Overflow is detected below, from the samples, rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        step = (_strang_step_matrix if method == "strang"
-                else _rk4_step_matrix)(system, dt)
+        step = _step_matrix(system, dt, method)
         jump = np.linalg.matrix_power(step, stride)
         for k in range(1, jumps + 1):
             samples[k] = jump @ samples[k - 1]
@@ -269,8 +263,7 @@ def sh_integrate(system: SHSystem, state: PhaseSpaceState, dt: float,
         step_index = int(idx[bad[0]])
         raise IntegrationError(
             f"state became non-finite by step {step_index}", step=step_index)
-    n = system.n
-    return PhaseTrajectory(dt * idx, samples[:, :n], samples[:, n:])
+    return PhaseTrajectory(dt * idx, samples.real, samples.imag)
 
 
 def sh_normal_modes(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:

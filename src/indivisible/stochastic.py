@@ -246,25 +246,30 @@ def direct_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
     gp = np.stack([gamma_tp.matrix for _, gamma_tp in pairs])
     rhs = np.concatenate(
         [gt.transpose(0, 2, 1), np.broadcast_to(np.eye(n), gt.shape)], axis=2)
+    lhs = gp.transpose(0, 2, 1)
+    live = np.arange(len(pairs))
     try:
         # Solving, rather than multiplying by the inverse, keeps the residual
         # near machine epsilon even when Gamma(t') is badly conditioned.  The
         # same factorization yields Gamma(t')^-T for the margin.
-        sol = np.linalg.solve(gp.transpose(0, 2, 1), rhs)
+        sol = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
-        # One exactly singular Gamma(t') fails the whole stack.
-        if len(pairs) == 1:
-            return [None]
-        return [direct_verdicts([pair])[0] for pair in pairs]
+        # One exactly singular Gamma(t') fails the whole stack.  The LU
+        # factorization behind slogdet meets an exact zero pivot (sign 0) on
+        # exactly those matrices, so they go to the LP and the rest share
+        # one more stacked solve; each matrix is factored on its own.
+        live = np.flatnonzero(np.linalg.slogdet(lhs)[0] != 0)
+        sol = np.linalg.solve(lhs[live], rhs[live])
     verdicts: list[DivisibilityVerdict | None] = [None] * len(pairs)
-    live = np.flatnonzero(np.isfinite(sol).all(axis=(1, 2)))
+    finite = np.isfinite(sol).all(axis=(1, 2))
+    live, sol = live[finite], sol[finite]
     # Columns of Gamma(t') sum to 1, so ||Gamma(t')^-1||_1 is its condition
     # number; from 1/eps on, Gamma(t') is singular to working precision and
     # M is not unique.
-    inv_norms = np.abs(sol[live, :, n:]).sum(axis=2).max(axis=1)
+    inv_norms = np.abs(sol[:, :, n:]).sum(axis=2).max(axis=1)
     keep = inv_norms * np.finfo(float).eps < 1.0
     live, inv_norms = live[keep], inv_norms[keep]
-    ms = sol[live, :, :n].transpose(0, 2, 1).copy()
+    ms = sol[keep, :, :n].transpose(0, 2, 1).copy()
     residuals = np.abs(ms @ gp[live] - gt[live]).max(axis=(1, 2))
     margins = 10.0 * np.maximum(LP_RELAXATION, residuals) * inv_norms
     flat = ms.reshape(len(live), n * n)

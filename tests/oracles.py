@@ -3,8 +3,10 @@
 Everything here is deliberately naive: brute force, exact algebra on
 closed-form cases, or a second implementation from a different library.
 None of it imports the code under test beyond plain numpy arrays, except
-``reference_direct_verdict`` and ``reference_transition_matrix``, earlier
-versions of the code kept as they were.
+``reference_direct_verdict``, ``reference_transition_matrix``, the 2N x 2N
+real step builders ``reference_strang_step_matrix`` and
+``reference_rk4_step_matrix``, and ``reference_sh_energy``: earlier versions
+of the code kept as they were.
 """
 
 import json
@@ -291,7 +293,7 @@ def stepwise_samples(step: np.ndarray, x0: np.ndarray, n_steps: int,
 
     Returns the recorded step indices and one state per row.
     """
-    s = np.asarray(x0, dtype=float)
+    s = np.asarray(x0)
     idx, rec = [0], [s.copy()]
     for k in range(1, n_steps + 1):
         s = step @ s
@@ -299,6 +301,65 @@ def stepwise_samples(step: np.ndarray, x0: np.ndarray, n_steps: int,
             idx.append(k)
             rec.append(s.copy())
     return np.array(idx), np.array(rec)
+
+
+def _mode_rotation(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    # Exact flow of the A-only Hamiltonian: per-mode rotation by eigenvalue * dt.
+    w, v = np.linalg.eigh(a)
+    cos = (v * np.cos(w * dt)) @ v.T
+    sin = (v * np.sin(w * dt)) @ v.T
+    return cos, sin
+
+def _orthogonal_flow(b: np.ndarray, dt: float) -> np.ndarray:
+    # Exact flow exp(B dt) of the B-only Hamiltonian; B antisymmetric makes
+    # iB hermitian, so the exponential comes out of a hermitian eigensolve.
+    w, v = np.linalg.eigh(1j * b)
+    r = (v * np.exp(-1j * w * dt)) @ v.conj().T
+    return np.ascontiguousarray(r.real)
+
+
+def reference_strang_step_matrix(system, dt: float) -> np.ndarray:
+    """One Strang step (B half, A full, B half) as a 2N x 2N linear map."""
+    n = system.n
+    cos, sin = _mode_rotation(system.a, dt)
+    half = _orthogonal_flow(system.b, dt / 2.0)
+    step_a = np.block([[cos, sin], [-sin, cos]])
+    step_b = np.zeros((2 * n, 2 * n))
+    step_b[:n, :n] = half
+    step_b[n:, n:] = half
+    return step_b @ step_a @ step_b
+
+
+def reference_rk4_step_matrix(system, dt: float) -> np.ndarray:
+    """Classical RK4 on the linear field (q', p') = (Ap + Bq, Bp - Aq)."""
+    n = system.n
+    gen = np.block([[system.b, system.a], [-system.a, system.b]])
+    eye = np.eye(2 * n)
+    m = eye.copy()
+    term = eye.copy()
+    for k in (1, 2, 3, 4):
+        term = (gen @ term) * (dt / k)
+        m = m + term
+    return m
+
+
+def reference_sh_energy(system, state) -> float | np.ndarray:
+    """Classical energy 1/2 p.A p + p.B q + 1/2 q.A q.
+
+    Equals Re <Psi|H|Psi> = <Psi|H|Psi> for Psi recombined from (q, p).  With
+    x = (q, p) it is the quadratic form x.K x for K = [[A/2, 0], [B, A/2]],
+    taken row by row, so a trajectory gives one energy per sample.
+    """
+    a, b = system.a, system.b
+    k = np.block([[a / 2.0, np.zeros_like(b)], [b, a / 2.0]])
+    x = np.concatenate([state.q, state.p], axis=-1)
+    e = np.einsum("...i,...i->...", x @ k, x)
+    return float(e) if e.ndim == 0 else e
+
+
+def real_form(s: np.ndarray) -> np.ndarray:
+    """[[Re S, -Im S], [Im S, Re S]]: S acting on z = q + i p, written on (q, p)."""
+    return np.block([[s.real, -s.imag], [s.imag, s.real]])
 
 
 def _reference_float(value: float) -> str:

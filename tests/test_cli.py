@@ -494,6 +494,8 @@ ONE_TRANSITION = ('{"n": 2, "targets": [0.0, 1.0], "conditioning": [0.0], '
 HERMITIAN_2 = {"n": 2, "re": [[0.3, 0.1], [0.1, -0.2]],
                "im": [[0.0, -0.4], [0.4, 0.0]]}
 HERMITIAN_2_TEXT = json.dumps(HERMITIAN_2)
+HUGE_HERMITIAN_TEXT = ('{"n": 2, "re": [[1e308, 0.0], [0.0, -1e308]], '
+                       '"im": [[0.0, 0.0], [0.0, 0.0]]}')
 OUT_OF_RANGE_CASES = {
     "sh-sim-stride": ("sh-sim", HERMITIAN_2_TEXT, ["--stride", "0"], "--stride"),
     "sh-sim-dt": ("sh-sim", HERMITIAN_2_TEXT, ["--dt", "0"], "--dt"),
@@ -601,9 +603,25 @@ OUT_OF_RANGE_CASES = {
     "divisibility-all-pairs-empty-t0": ("divisibility", PROCESS_OK,
                                         ["--all-pairs", "--t0", "1.0"],
                                         "transitions"),
+    # finite entries whose norm, hermiticity defect or unitarity defect
+    # overflows: refused in JSON, without a numpy warning
+    "sh-sim-huge-psi0": ("sh-sim", HERMITIAN_2_TEXT[:-1]
+                         + ', "psi0": {"re": [1e200, 0.0], "im": [0.0, 0.0]}}',
+                         ["--T", "0.01"], "<validation>"),
+    "sh-sim-huge-antisymmetric-re": (
+        "sh-sim", '{"n": 2, "re": [[0.0, 1e308], [-1e308, 0.0]], '
+        '"im": [[0.0, 0.0], [0.0, 0.0]]}', ["--T", "0.01"], "<validation>"),
+    # a lawful H whose energy is past the float range: the state stays finite
+    "sh-sim-huge-hermitian": (
+        "sh-sim", HUGE_HERMITIAN_TEXT, ["--T", "0.01"], "<integration>"),
+    "correspond-huge-entry": ("correspond",
+                              '{"re": [[1e200, 0.0], [0.0, 1.0]], '
+                              '"im": [[0.0, 0.0], [0.0, 0.0]]}', [],
+                              "<validation>"),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_CASES))
 def test_out_of_range_input_exits_1(tmp_path, capsys, case):
     command, text, flags, field = OUT_OF_RANGE_CASES[case]
@@ -616,6 +634,19 @@ def test_out_of_range_input_exits_1(tmp_path, capsys, case):
     assert err["error"]["field"] == field
     assert not out.exists()
     assert not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_lawful_hamiltonian_is_refused_at_its_energy(tmp_path, capsys):
+    """Halving before adding keeps A finite, so the state is integrated and
+    the figure that leaves the float range, the energy, is the one named."""
+    inp = tmp_path / "in.json"
+    inp.write_text(HUGE_HERMITIAN_TEXT)
+    assert run(["sh-sim", "--input", inp, "--output", tmp_path / "out.json",
+                "--T", "0.01"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "field": "<integration>",
+        "message": "initial energy became non-finite by step 0"}
 
 
 @pytest.mark.parametrize("command, text", [("embed", '{"law": "free"}'),

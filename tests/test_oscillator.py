@@ -7,8 +7,7 @@ from indivisible.oscillator import (
     PhaseSpaceState,
     SHSystem,
     StateVector,
-    _rk4_step_matrix,
-    _strang_step_matrix,
+    _step_matrix,
     exact_evolve,
     sh_decompose,
     sh_energy,
@@ -18,7 +17,14 @@ from indivisible.oscillator import (
     sh_split,
     time_reverse_state,
 )
-from oracles import random_unitary, stepwise_samples
+from oracles import (
+    random_unitary,
+    real_form,
+    reference_rk4_step_matrix,
+    reference_sh_energy,
+    reference_strang_step_matrix,
+    stepwise_samples,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -121,14 +127,47 @@ def test_strang_tracks_exact_evolution():
     assert worst <= 1e-5
 
 
-STEP_MATRIX = {"strang": _strang_step_matrix, "rk4": _rk4_step_matrix}
+REAL_STEP_MATRIX = {"strang": reference_strang_step_matrix,
+                    "rk4": reference_rk4_step_matrix}
 
 
-@pytest.mark.parametrize("method", sorted(STEP_MATRIX))
+@pytest.mark.parametrize("method", sorted(REAL_STEP_MATRIX))
+def test_complex_step_is_the_old_real_step(method):
+    """[[Re S, -Im S], [Im S, Re S]] is the 2N x 2N real step it replaced."""
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 5, 16, 64):
+        system = sh_decompose(random_hermitian(n, rng))
+        for dt in (1e-4, 1e-2, 0.5):
+            step = _step_matrix(system, dt, method)
+            assert step.shape == (n, n)
+            np.testing.assert_allclose(
+                real_form(step), REAL_STEP_MATRIX[method](system, dt),
+                rtol=0.0, atol=1e-13)
+
+
+def test_energy_matches_the_block_form():
+    rng = np.random.default_rng(32)
+    for n in (1, 2, 5, 16):
+        system = sh_decompose(random_hermitian(n, rng))
+        state = sh_split(random_state(n, rng))
+        assert sh_energy(system, state) == pytest.approx(
+            reference_sh_energy(system, state), rel=0.0, abs=1e-13)
+        traj = sh_integrate(system, state, 1e-2, 1.0, sample_stride=7)
+        np.testing.assert_allclose(sh_energy(system, traj),
+                                   reference_sh_energy(system, traj),
+                                   rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("method", sorted(REAL_STEP_MATRIX))
 @pytest.mark.parametrize("n", [2, 5, 16])
 @pytest.mark.parametrize("stride", [1, 3, 1000, 5000])
 def test_strided_integration_matches_step_loop(method, n, stride):
-    """2500 steps: stride 3 and 1000 leave a tail, 5000 outlasts the run."""
+    """2500 steps: stride 3 and 1000 leave a tail, 5000 outlasts the run.
+
+    Stride 1 matches the complex step-by-step loop bit for bit; every
+    stride stays within 1e-11 of the loop and of the 2N x 2N real loop it
+    replaced.
+    """
     rng = np.random.default_rng(100 + n)
     system = sh_decompose(random_hermitian(n, rng, unit_norm=True))
     state0 = sh_split(random_state(n, rng))
@@ -136,17 +175,23 @@ def test_strided_integration_matches_step_loop(method, n, stride):
     traj = sh_integrate(system, state0, 1e-3, duration, method=method,
                         sample_stride=stride)
     dt = duration / n_steps
-    idx, want = stepwise_samples(STEP_MATRIX[method](system, dt),
-                                 np.concatenate([state0.q, state0.p]),
-                                 n_steps, stride)
+    idx, want = stepwise_samples(_step_matrix(system, dt, method),
+                                 state0.q + 1j * state0.p, n_steps, stride)
+    real_idx, real = stepwise_samples(REAL_STEP_MATRIX[method](system, dt),
+                                      np.concatenate([state0.q, state0.p]),
+                                      n_steps, stride)
+    assert want.dtype == complex
+    assert np.array_equal(idx, real_idx)
     assert len(traj) == len(idx)
     assert np.array_equal(traj.times, dt * idx)
     if stride == 1:
-        assert np.array_equal(traj.q, want[:, :n])
-        assert np.array_equal(traj.p, want[:, n:])
+        assert np.array_equal(traj.q, want.real)
+        assert np.array_equal(traj.p, want.imag)
     else:
-        np.testing.assert_allclose(traj.q, want[:, :n], rtol=0.0, atol=1e-11)
-        np.testing.assert_allclose(traj.p, want[:, n:], rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(traj.q, want.real, rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(traj.p, want.imag, rtol=0.0, atol=1e-11)
+    np.testing.assert_allclose(traj.q, real[:, :n], rtol=0.0, atol=1e-11)
+    np.testing.assert_allclose(traj.p, real[:, n:], rtol=0.0, atol=1e-11)
 
 
 def test_trajectory_post_processing_matches_per_sample():

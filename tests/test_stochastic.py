@@ -543,7 +543,7 @@ def _rebuilt_witness(gamma_t, gamma_tp):
     return m
 
 
-def test_stacked_route_settles_a_stack_that_mixes_every_outcome():
+def test_stacked_route_settles_a_stack_that_mixes_every_outcome(monkeypatch):
     n = 44
     rng = np.random.default_rng(24)
     base = random_column_stochastic(n, rng)
@@ -574,9 +574,20 @@ def test_stacked_route_settles_a_stack_that_mixes_every_outcome():
                   - inexact[0].matrix).max() > WITNESS_RESIDUAL_TOL
     assert assert_matches_reference(pairs) == [
         "divisible", "indivisible", None, None, None]
-    # Without the singular pair the other four share one stacked solve.
     assert assert_matches_reference(pairs[:3] + pairs[4:]) == [
         "divisible", "indivisible", None, None]
+    # The singular pair fails the first stacked solve; the other four share
+    # the second.
+    shapes = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    direct_verdicts(pairs)
+    assert shapes == [(5, n, n), (4, n, n)]
 
 
 def test_stacked_route_refuses_pairs_of_different_sizes():
