@@ -322,16 +322,15 @@ def _cmd_unistochastic(args) -> int:
     if args.max_iters < 0:
         raise InputFormatError(
             "--max-iters", f"must be at least 0, got {args.max_iters!r}")
-    _require_positive("--tol", args.tol)
     gamma, _ = _load_transition(args)
     result = corr.unistochastic_search(gamma, max_iters=args.max_iters,
-                                       tol=args.tol, seed=args.seed)
+                                       seed=args.seed)
     report = {
         "status": result.status,
         "residual": result.residual,
         "unitary": None if result.unitary is None
         else ser.complex_matrix_payload(result.unitary.matrix),
-        "tolerances": {"objective": args.tol,
+        "tolerances": {"objective": corr.UNITARITY_TOL,
                        "doubly_stochastic": corr.DOUBLY_STOCHASTIC_TOL},
         "max_iters": args.max_iters,
         "restarts": corr.SEARCH_RESTARTS,
@@ -373,6 +372,13 @@ def _cmd_extract_hamiltonian(args) -> int:
     _require_positive("--dt", args.dt)
     h = ser.parse_hermitian(ser.load_json(args.input))
     w, v = np.linalg.eigh(h.matrix)
+    # The quotient is V diag(sin(w dt) / dt) V^dag: one-to-one below pi/2.
+    norm = float(np.max(np.abs(w)))
+    if not norm * args.dt < math.pi / 2:
+        raise InputFormatError("--dt", f"||H|| dt is {norm * args.dt:.3g}, "
+                               "not below pi/2, so the quotient aliases")
+    if not math.isfinite(norm * (abs(args.t) + args.dt)):
+        raise InputFormatError("--t", "||H|| (|t| + dt) is not finite")
 
     def evolution(s: float) -> np.ndarray:
         return v @ (np.exp(-1j * w * s)[:, None] * v.conj().T)
@@ -449,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("unistochastic", help="search for a realizing unitary")
     _add_common(p)
     p.add_argument("--max-iters", type=int, default=corr.SEARCH_MAX_ITERS)
-    p.add_argument("--tol", type=float, default=corr.SEARCH_TOL)
     p.set_defaults(handler=_cmd_unistochastic)
 
     p = subs.add_parser("dilate", help="Kraus set and Stinespring dilation")
@@ -520,6 +525,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         _apply_config(_PARSER, args)
+        if args.seed < 0:  # every report carries it; the RNGs refuse it
+            raise InputFormatError("--seed", f"must be at least 0, got {args.seed}")
         return args.handler(args)
     except InputFormatError as exc:
         _structured_error(exc.field, exc.reason)

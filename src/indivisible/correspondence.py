@@ -46,7 +46,6 @@ RECONSTRUCTION_TOL = 1e-9
 
 SEARCH_RESTARTS = 32
 SEARCH_SEED = 42
-SEARCH_TOL = 1e-10
 SEARCH_MAX_ITERS = 25_000
 ORTHO_MAX_SIZE = 4
 
@@ -244,8 +243,8 @@ def polygon_certificate(gamma: np.ndarray) -> PolygonViolation | None:
     return None
 
 
-def _phase_descent(r: np.ndarray, phases: np.ndarray, max_iters: int,
-                   tol: float) -> tuple[np.ndarray, float]:
+def _phase_descent(r: np.ndarray, phases: np.ndarray,
+                   max_iters: int) -> tuple[np.ndarray, float]:
     """Gradient descent on ||Theta Theta^dag - 1||_F^2 over the phase matrix.
 
     d/dphi_ij ||...||^2 = 4 Im(conj(Theta_ij) (G Theta)_ij) with
@@ -268,7 +267,7 @@ def _phase_descent(r: np.ndarray, phases: np.ndarray, max_iters: int,
     prev_phases: np.ndarray | None = None
     prev_grad: np.ndarray | None = None
     for _ in range(max_iters):
-        if f <= tol * tol:
+        if f <= UNITARITY_TOL * UNITARITY_TOL:
             break
         if float(np.sum(grad * grad)) <= 1e-30:
             break
@@ -310,8 +309,7 @@ def _phase_descent(r: np.ndarray, phases: np.ndarray, max_iters: int,
 
 
 def unistochastic_search(gamma: TransitionMatrix,
-                         max_iters: int = SEARCH_MAX_ITERS,
-                         tol: float = SEARCH_TOL, *,
+                         max_iters: int = SEARCH_MAX_ITERS, *,
                          seed: int = SEARCH_SEED) -> UnistochasticResult:
     """Look for phases making sqrt(Gamma) with phases unitary.
 
@@ -323,6 +321,9 @@ def unistochastic_search(gamma: TransitionMatrix,
     permutations, come back verbatim); the other SEARCH_RESTARTS - 1 starts
     draw phases uniformly from [0, 2pi).  Moduli are fixed by construction,
     so any accepted candidate reproduces Gamma exactly.
+
+    The search stops at the unitarity gate: ||Theta Theta^dag - 1||_F <=
+    UNITARITY_TOL bounds every entry of Theta^dag Theta - 1 (same spectrum).
     """
     g = gamma.matrix
     row_dev = _row_sum_deviation(g)
@@ -346,9 +347,9 @@ def unistochastic_search(gamma: TransitionMatrix,
             start = np.zeros((n, n))
         else:
             start = rng.uniform(0.0, 2.0 * np.pi, size=(n, n))
-        phases, residual = _phase_descent(r, start, max_iters, tol)
+        phases, residual = _phase_descent(r, start, max_iters)
         best = min(best, residual)
-        if residual <= tol:
+        if residual <= UNITARITY_TOL:
             theta = r * np.exp(1j * phases)
             return UnistochasticResult(
                 "found",

@@ -55,7 +55,8 @@ class Distribution:
                 f"distribution has negative entries (min {worst:.3e})",
                 minimum=worst)
         p = np.where(p < 0.0, 0.0, p)
-        total = float(p.sum())
+        with np.errstate(over="ignore"):  # an infinite sum fails the gate
+            total = float(p.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValidationError(
                 f"distribution sums to {total!r}, off by more than {SUM_TOL:.0e}",
@@ -80,7 +81,8 @@ class TransitionMatrix(SquareMatrix):
         if low < 0.0:
             # Entries in [-NEGATIVE_CLAMP, 0) become +0.0; -0.0 keeps its sign.
             m[(m < 0.0) & (m >= -NEGATIVE_CLAMP)] = 0.0
-        sums = m.sum(axis=0)
+        with np.errstate(over="ignore"):  # an infinite sum fails the gate
+            sums = m.sum(axis=0)
         if low < -NEGATIVE_CLAMP or np.abs(sums - 1.0).max(initial=0.0) > SUM_TOL:
             bad_neg = np.flatnonzero((m < -NEGATIVE_CLAMP).any(axis=0)).tolist()
             bad_sum = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL).tolist()

@@ -384,6 +384,20 @@ def test_extract_hamiltonian(tmp_path):
     assert report["anti_hermitian_residual"] <= 1e-10
 
 
+@pytest.mark.filterwarnings("error")
+def test_extract_hamiltonian_below_the_aliasing_bound(tmp_path):
+    """||H|| dt = 1.5 < pi/2: the quotient diag(sin(w dt) / dt) still
+    determines H, so the command reports its error instead of refusing."""
+    inp = tmp_path / "h.json"
+    inp.write_text(DIAGONAL_HERMITIAN_TEXT % (1.5e4, -1.5e4))
+    out = tmp_path / "ham.json"
+    assert run(["extract-hamiltonian", "--input", inp, "--output", out,
+                "--dt", "1e-4"]) == 0
+    report = json.loads(out.read_text())
+    assert report["max_error_vs_input"] == pytest.approx(
+        1.5e4 - math.sin(1.5) / 1e-4, rel=1e-6)
+
+
 def test_config_overrides_flags(tmp_path):
     inp = write(tmp_path / "law.json", {"law": "free", "x0": 0.0, "v0": 1.0})
     cfg = write(tmp_path / "cfg.json", {"T": 2.0, "dt": 0.5})
@@ -396,14 +410,29 @@ def test_config_overrides_flags(tmp_path):
     assert report["dt"] == 0.5
 
 
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    inp = write(tmp_path / "law.json", {"law": "free"})
-    cfg = write(tmp_path / "cfg.json", {"steps": 7})
-    code = run(["embed", "--input", inp, "--output", tmp_path / "r.json",
+@pytest.mark.parametrize("command, payload, entry", [
+    ("embed", {"law": "free"}, {"steps": 7}),
+    # the phase search stops at the unitarity gate; its tolerance is no flag
+    ("unistochastic", {"matrix": [[0.5, 0.5], [0.5, 0.5]]}, {"tol": 1e-6}),
+], ids=["embed", "unistochastic"])
+def test_config_rejects_unknown_keys(tmp_path, capsys, command, payload, entry):
+    inp = write(tmp_path / "in.json", payload)
+    cfg = write(tmp_path / "cfg.json", entry)
+    code = run([command, "--input", inp, "--output", tmp_path / "r.json",
                 "--config", cfg])
     assert code == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"]["field"] == "<config>.steps"
+    assert err["error"]["field"] == "<config>." + next(iter(entry))
+
+
+def test_config_seed_is_checked_like_the_flag(tmp_path, capsys):
+    inp = write(tmp_path / "law.json", {"law": "free"})
+    cfg = write(tmp_path / "cfg.json", {"seed": -1})
+    out = tmp_path / "r.json"
+    assert run(["embed", "--input", inp, "--output", out, "--config", cfg]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "field": "--seed", "message": "must be at least 0, got -1"}
+    assert not out.exists()
 
 
 def test_config_values_are_converted_like_flags(tmp_path, qubit_file):
@@ -496,6 +525,10 @@ HERMITIAN_2 = {"n": 2, "re": [[0.3, 0.1], [0.1, -0.2]],
 HERMITIAN_2_TEXT = json.dumps(HERMITIAN_2)
 HUGE_HERMITIAN_TEXT = ('{"n": 2, "re": [[1e308, 0.0], [0.0, -1e308]], '
                        '"im": [[0.0, 0.0], [0.0, 0.0]]}')
+DIAGONAL_HERMITIAN_TEXT = ('{"n": 2, "re": [[%r, 0.0], [0.0, %r]], '
+                           '"im": [[0.0, 0.0], [0.0, 0.0]]}')
+HUGE_MATRIX = "[[1e308, 1e308], [1e308, 1e308]]"
+HUGE_MATRIX_TEXT = '{"matrix": %s}' % HUGE_MATRIX
 OUT_OF_RANGE_CASES = {
     "sh-sim-stride": ("sh-sim", HERMITIAN_2_TEXT, ["--stride", "0"], "--stride"),
     "sh-sim-dt": ("sh-sim", HERMITIAN_2_TEXT, ["--dt", "0"], "--dt"),
@@ -578,9 +611,6 @@ OUT_OF_RANGE_CASES = {
                              '{"k": 1e308, "c": 1e308}, "x0": 0, "v0": 0}',
                              [], "<validation>"),
     # flag values the handlers cannot honour
-    "unistochastic-tol-nan": ("unistochastic",
-                              '{"matrix": [[0.5, 0.5], [0.5, 0.5]]}',
-                              ["--tol", "nan"], "--tol"),
     "unistochastic-negative-max-iters": (
         "unistochastic", '{"matrix": [[0.5, 0.5], [0.5, 0.5]]}',
         ["--max-iters", "-3"], "--max-iters"),
@@ -618,6 +648,39 @@ OUT_OF_RANGE_CASES = {
                               '{"re": [[1e200, 0.0], [0.0, 1.0]], '
                               '"im": [[0.0, 0.0], [0.0, 0.0]]}', [],
                               "<validation>"),
+    # column sums and a distribution total past the float range
+    "unistochastic-huge-matrix": ("unistochastic", HUGE_MATRIX_TEXT, [],
+                                  "<validation>"),
+    "dilate-huge-matrix": ("dilate", HUGE_MATRIX_TEXT, [], "<validation>"),
+    "divisibility-huge-transition": (
+        "divisibility", PROCESS_TEXT % (HUGE_MATRIX, "[1.0, 0.0]"), [],
+        "<validation>"),
+    "divisibility-huge-initial": (
+        "divisibility", PROCESS_TEXT % ("[[1.0, 0.0], [0.0, 1.0]]",
+                                        "[1e308, 1e308]"), [], "<validation>"),
+    # the quotient determines H only while ||H|| dt < pi/2
+    "extract-hamiltonian-huge": ("extract-hamiltonian", HUGE_HERMITIAN_TEXT,
+                                 [], "--dt"),
+    "extract-hamiltonian-aliased": ("extract-hamiltonian",
+                                    DIAGONAL_HERMITIAN_TEXT % (2e4, -2e4),
+                                    [], "--dt"),
+    "extract-hamiltonian-inf-eigenvalue": (
+        "extract-hamiltonian", '{"n": 2, "re": %s, "im": [[0.0, 0.0], '
+        '[0.0, 0.0]]}' % HUGE_MATRIX, [], "--dt"),
+    "extract-hamiltonian-huge-t": ("extract-hamiltonian",
+                                   DIAGONAL_HERMITIAN_TEXT % (3.0, -3.0),
+                                   ["--t", "1e308"], "--t"),
+    # every report carries the seed, and the random streams refuse it
+    **{f"{command}-negative-seed": (command, text, ["--seed", "-1"], "--seed")
+       for command, text in (
+           ("embed", '{"law": "free"}'),
+           ("sh-sim", HERMITIAN_2_TEXT),
+           ("divisibility", PROCESS_OK),
+           ("correspond", '{"re": [[1.0, 0.0], [0.0, 1.0]], '
+                          '"im": [[0.0, 0.0], [0.0, 0.0]]}'),
+           ("unistochastic", '{"matrix": [[0.5, 0.5], [0.5, 0.5]]}'),
+           ("dilate", '{"matrix": [[0.5, 0.5], [0.5, 0.5]]}'),
+           ("extract-hamiltonian", HERMITIAN_2_TEXT))},
 }
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indivisible.cli import _law_registry
@@ -186,18 +186,34 @@ def _cli_law(name: str, k: float = 1.0, c: float = 0.1) -> SecondOrderODE:
     return SecondOrderODE(_law_registry(name, params))
 
 
+def _complex_as_pair(ode: SecondOrderODE, x0: float, v0: float, dt: float,
+                     duration: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """integrate_complex from z0 = x0 + i v0, split back into (t, x, y)."""
+    times, zs = integrate_complex(ComplexFlow(ode), complex(x0, v0), dt,
+                                  duration)
+    return times, zs.real, zs.imag
+
+
+def _same_bits(a, b) -> bool:
+    """Equal float64 bit patterns, so the sign of every zero counts too."""
+    return (np.asarray(a, dtype=float).tobytes()
+            == np.asarray(b, dtype=float).tobytes())
+
+
 @settings(max_examples=40, deadline=None)
 @given(law=st.sampled_from(CLI_LAWS),
        x0=st.floats(-2.0, 2.0), v0=st.floats(-2.0, 2.0),
        k=st.floats(0.5, 2.0), c=st.floats(0.05, 0.5),
        dt=st.sampled_from((1e-3, 5e-4, 1e-4)), steps=st.integers(1, 2000))
+# a -0.0 velocity stays -0.0 under the real pair's arithmetic
+@example(law="harmonic", x0=0.0, v0=-0.0, k=1.0, c=0.1, dt=1e-3, steps=3)
 def test_rk4_matches_the_reference_bitwise(law, x0, v0, k, c, dt, steps):
     ode = _cli_law(law, k, c)
+    want = reference_rk4(ode.f, x0, v0, dt, dt * steps)
     traj = integrate_embedded(ode, x0, v0, dt, dt * steps)
-    times, xs, ys = reference_rk4(ode.f, x0, v0, dt, dt * steps)
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.x, xs)
-    assert np.array_equal(traj.y, ys)
+    for got in ((traj.times, traj.x, traj.y),
+                _complex_as_pair(ode, x0, v0, dt, dt * steps)):
+        assert all(map(_same_bits, got, want))
 
 
 @pytest.mark.parametrize("f, x0, dt, duration", [
@@ -207,10 +223,11 @@ def test_rk4_matches_the_reference_bitwise(law, x0, v0, k, c, dt, steps):
 def test_rk4_blows_up_where_the_reference_does(f, x0, dt, duration):
     with pytest.raises(ReferenceBlowup) as ref:
         reference_rk4(f, x0, 0.0, dt, duration)
-    with pytest.raises(IntegrationError) as err:
-        integrate_embedded(SecondOrderODE(f), x0, 0.0, dt, duration)
-    assert err.value.step == ref.value.step
-    assert str(err.value) == str(ref.value)
+    for integrate in (integrate_embedded, _complex_as_pair):
+        with pytest.raises(IntegrationError) as err:
+            integrate(SecondOrderODE(f), x0, 0.0, dt, duration)
+        assert err.value.step == ref.value.step
+        assert str(err.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("ode", [*(_cli_law(name) for name in CLI_LAWS),
