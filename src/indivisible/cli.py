@@ -379,6 +379,12 @@ def _cmd_extract_hamiltonian(args) -> int:
                                "not below pi/2, so the quotient aliases")
     if not math.isfinite(norm * (abs(args.t) + args.dt)):
         raise InputFormatError("--t", "||H|| (|t| + dt) is not finite")
+    # Floats near t lie about |t| eps apart: a dt not above that spacing
+    # moves t + dt and t - dt onto t or a neighbour, and the quotient is not H.
+    spacing = abs(args.t) * np.finfo(float).eps
+    if not args.dt > spacing:
+        raise InputFormatError("--t", f"|t| eps is {spacing:.3g}, not below dt, "
+                               "so t +- dt cannot resolve the step")
 
     def evolution(s: float) -> np.ndarray:
         return v @ (np.exp(-1j * w * s)[:, None] * v.conj().T)

@@ -3,7 +3,10 @@
 Emission is deterministic: object keys are sorted, floats are printed with 17
 significant digits (lossless double round trip), and files always end with a
 newline.  Identical inputs therefore produce byte-identical files, which the
-command-line layer relies on for its determinism guarantee.
+command-line layer relies on for its determinism guarantee.  Keys and other
+strings go through ``json.encoder.encode_basestring_ascii``, the encoder
+``json.dumps`` uses for a string under its default settings, so they have
+its bytes.
 
 Floats are formatted in bulk.  A finite, non-empty 1-D or 2-D float64 array
 is one ``%`` against a template for the whole array: each exact zero is the
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -45,22 +49,10 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def _write(obj: Any, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (np.floating, float)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, (np.integer, int)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        if (obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size
-                and np.isfinite(obj).all()):
-            out.append(_array_text(obj))
-        else:  # NaN and inf reach format_float here, which names them
-            _write(obj.tolist(), out)
+    # Floats, dicts and strings first: they are most of a report.  A subclass
+    # of dict or str is none of the types tested after them.
+    if type(obj) is float:
+        out.append(format_float(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for idx, key in enumerate(sorted(obj)):
@@ -68,10 +60,25 @@ def _write(obj: Any, out: list[str]) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             if idx:
                 out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
+            out.append(encode_basestring_ascii(key) + ":")
             _write(obj[key], out)
         out.append("}")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (np.floating, float)):
+        out.append(format_float(float(obj)))
+    elif isinstance(obj, (np.integer, int)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, np.ndarray):
+        if (obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size
+                and np.isfinite(obj).all()):
+            out.append(_array_text(obj))
+        else:  # NaN and inf reach format_float here, which names them
+            _write(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for idx, item in enumerate(obj):

@@ -12,9 +12,9 @@ that question directly from the unique candidate M = Gamma(t) Gamma(t')^-1
 when Gamma(t') is invertible, and otherwise as a linear feasibility problem
 over the entries of M.  ``direct_verdicts`` is that direct route for many
 pairs at once: array passes over the whole stack (one solve, the margins,
-the row rebuild, the witness residuals) decide every pair it can, with the
-bits each would get alone, and mark the rest (None) for the LP.  Only the
-certificate text and each witness's ``TransitionMatrix`` stay per pair.
+the row rebuild, the witness gate and residuals) decide every pair it can,
+with the bits each would get alone, and mark the rest (None) for the LP.
+Only the certificate text and the wrapping of each witness stay per pair.
 """
 
 from __future__ import annotations
@@ -77,13 +77,9 @@ class TransitionMatrix(SquareMatrix):
 
     def __post_init__(self):
         m = square_matrix(self.matrix, float)
-        low = m.min(initial=0.0)
-        if low < 0.0:
-            # Entries in [-NEGATIVE_CLAMP, 0) become +0.0; -0.0 keeps its sign.
-            m[(m < 0.0) & (m >= -NEGATIVE_CLAMP)] = 0.0
-        with np.errstate(over="ignore"):  # an infinite sum fails the gate
-            sums = m.sum(axis=0)
-        if low < -NEGATIVE_CLAMP or np.abs(sums - 1.0).max(initial=0.0) > SUM_TOL:
+        if not column_stochastic(m[None])[0]:
+            with np.errstate(over="ignore"):  # an infinite sum is listed
+                sums = m.sum(axis=0)
             bad_neg = np.flatnonzero((m < -NEGATIVE_CLAMP).any(axis=0)).tolist()
             bad_sum = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL).tolist()
             raise ValidationError(
@@ -92,6 +88,29 @@ class TransitionMatrix(SquareMatrix):
                 negative_columns=bad_neg, sum_columns=bad_sum,
                 column_sums=sums.tolist())
         freeze(self, matrix=m)
+
+
+def column_stochastic(stack: np.ndarray) -> np.ndarray:
+    """Pass mask of the column-stochastic gate over a fresh (k, n, n) stack.
+
+    A matrix passes when no entry lies below -NEGATIVE_CLAMP and every
+    column sums to 1 within SUM_TOL; entries in [-NEGATIVE_CLAMP, 0) become
+    +0.0 in place, and -0.0 keeps its sign bit.  The same comparisons are
+    the finite check: a NaN fails every comparison, -inf is the minimum, and
+    +inf makes its column sum infinite or NaN.
+    """
+    negative = not stack.min(initial=0.0) >= 0.0  # or a NaN
+    if negative:
+        lows = stack.min(axis=(1, 2))
+        stack[(stack < 0.0) & (stack >= -NEGATIVE_CLAMP)] = 0.0
+    # Each matrix's rows are added in index order, as in one matrix's sum
+    # over axis 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = stack.sum(axis=1)
+    passed = np.abs(sums - 1.0).max(axis=1, initial=0.0) <= SUM_TOL
+    if negative:
+        passed &= lows >= -NEGATIVE_CLAMP
+    return passed
 
 
 @dataclass(frozen=True)
@@ -225,11 +244,13 @@ def direct_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
     The two matrices of a pair share their source time, and all pairs share
     one size.  One pass over the whole (k, n, n) stack each gives the solve,
     the norms, the first residuals, the margins, the first-minimum entries,
-    the indivisible mask and the row rebuild, and one matmul over the
-    witnesses that pass ``TransitionMatrix`` gives their residuals.  Per
-    pair remain the certificate text of an indivisible pair and the
-    ``TransitionMatrix`` of a proposed witness.  Each pair's verdict has the
-    bits it has alone.
+    the indivisible mask, the row rebuild and the column-stochastic gate of
+    the proposed witnesses (``column_stochastic``, as ``TransitionMatrix``
+    runs it), and one matmul over the witnesses that pass it gives their
+    residuals.  Per pair remain the certificate text of an indivisible pair
+    and the ``TransitionMatrix`` around an accepted witness, which holds a
+    read-only view of the gated stack and is not gated again.  Each pair's
+    verdict has the bits it has alone.
     """
     if not pairs:
         return []
@@ -297,20 +318,17 @@ def direct_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
     others = ms.copy()
     others[rebuilt] = 0.0
     ms[rebuilt] = 1.0 - others.sum(axis=1)
-    witnesses = {}
-    for k, m in zip(live.tolist(), ms):
-        try:
-            witnesses[k] = TransitionMatrix(m, t=pairs[k][0].t, t0=pairs[k][1].t)
-        except ValidationError:
-            pass
-    if witnesses:
-        done = list(witnesses)
-        stack = np.stack([witness.matrix for witness in witnesses.values()])
-        final = np.abs(stack @ gp[done] - gt[done]).max(axis=(1, 2))
-        for (k, witness), residual in zip(witnesses.items(), final.tolist()):
-            if residual <= WITNESS_RESIDUAL_TOL:
-                verdicts[k] = DivisibilityVerdict("divisible", witness=witness,
-                                                  residual=residual)
+    passed = column_stochastic(ms)
+    done, stack = live[passed], ms[passed]
+    final = np.abs(stack @ gp[done] - gt[done]).max(axis=(1, 2))
+    # Views of a read-only stack cannot be made writable again.
+    stack.flags.writeable = False
+    for k, m, residual in zip(done.tolist(), stack, final.tolist()):
+        if residual <= WITNESS_RESIDUAL_TOL:
+            witness = object.__new__(TransitionMatrix)  # gated above
+            freeze(witness, matrix=m, t=pairs[k][0].t, t0=pairs[k][1].t)
+            verdicts[k] = DivisibilityVerdict("divisible", witness=witness,
+                                              residual=residual)
     return verdicts
 
 

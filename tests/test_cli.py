@@ -670,6 +670,14 @@ OUT_OF_RANGE_CASES = {
     "extract-hamiltonian-huge-t": ("extract-hamiltonian",
                                    DIAGONAL_HERMITIAN_TEXT % (3.0, -3.0),
                                    ["--t", "1e308"], "--t"),
+    # dt 1e-4 is not above |t| eps: t +- dt round onto t at 1e300, and onto
+    # floats 1.2e-4 apart at 1e12; ||H|| (|t| + dt) is finite at both
+    "extract-hamiltonian-t-swallows-dt": ("extract-hamiltonian",
+                                          DIAGONAL_HERMITIAN_TEXT % (3.0, -3.0),
+                                          ["--t", "1e300"], "--t"),
+    "extract-hamiltonian-t-spacing-near-dt": (
+        "extract-hamiltonian", DIAGONAL_HERMITIAN_TEXT % (3.0, -3.0),
+        ["--t", "1e12"], "--t"),
     # every report carries the seed, and the random streams refuse it
     **{f"{command}-negative-seed": (command, text, ["--seed", "-1"], "--seed")
        for command, text in (

@@ -79,8 +79,13 @@ def test_csv_layout(tmp_path):
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16]
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+# Text drawn often from what a JSON string must escape: quotes, backslashes,
+# control characters, and non-ASCII up to a lone surrogate and beyond the BMP.
+TEXT = st.text(st.characters() | st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u0393", "\u2028", "\ud800",
+     "\U0001d6aa"]), max_size=4)
 SCALARS = (FINITE | st.integers() | st.booleans() | st.none()
-           | FINITE.map(np.float64))
+           | FINITE.map(np.float64) | TEXT)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
@@ -89,7 +94,7 @@ def _rows(elements):
 
 
 @given(st.one_of(_rows(FINITE), _rows(SCALARS), st.lists(_rows(FINITE), max_size=5),
-                 st.dictionaries(st.text(max_size=3), _rows(SCALARS), max_size=3)))
+                 st.dictionaries(TEXT, _rows(SCALARS), max_size=3)))
 def test_canonical_dumps_matches_per_element_reference(obj):
     assert canonical_dumps(obj) == reference_dumps(obj)
 

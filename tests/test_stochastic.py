@@ -11,10 +11,12 @@ from indivisible.lp import find_nonnegative_solution
 from indivisible.stochastic import (
     LP_RELAXATION,
     NEGATIVE_CLAMP,
+    SUM_TOL,
     WITNESS_RESIDUAL_TOL,
     Distribution,
     IndivisibleProcess,
     TransitionMatrix,
+    column_stochastic,
     direct_verdicts,
     divisibility_check,
     markov_compose,
@@ -141,6 +143,89 @@ def test_transition_matrix_validation_matches_the_reference():
     assert seen == {("accepted", False), ("accepted", True),
                     ("refused", True, False), ("refused", False, True),
                     ("refused", True, True)}
+
+
+def _boundary_column(n, rng, entry, target):
+    """A column holding ``entry`` above its last row whose sum, taken in row
+    order, is exactly ``target`` once ``entry`` is clamped to zero.
+
+    The other rows above the last are multiples of 2^-p summing to D in
+    [0.5, 1), so every partial sum is exact, and so is target - D in the
+    last row; D + (target - D) is then target itself.
+    """
+    col = rng.integers(1, 64, size=n).astype(float)
+    col[rng.integers(n - 1)] = 0.0
+    col[:-1] /= 2.0 ** int(col[:-1].sum()).bit_length()
+    col[-1] = target - col[:-1].sum()
+    col[col == 0.0] = entry
+    return col
+
+
+def test_stacked_gate_matches_the_per_matrix_gate():
+    """Over adversarial stacks, the stacked gate passes exactly the matrices
+    ``TransitionMatrix`` accepts, and clamps them to the same bits, sign
+    bits included; a refused or non-finite neighbour changes nothing."""
+    rng = np.random.default_rng(32)
+    entries = [-0.0, 0.0, -NEGATIVE_CLAMP, np.nextafter(-NEGATIVE_CLAMP, -1.0),
+               -5e-15, -5e-324]
+    # 1 +- SUM_TOL and one ulp to either side, and 1 itself
+    targets = [1.0] + [np.nextafter(1.0 + sign * SUM_TOL, 1.0 + step)
+                       for sign in (1.0, -1.0) for step in (-1.0, 0.0, 1.0)]
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 6))
+        stack = np.array([random_column_stochastic(n, rng)
+                          for _ in range(int(rng.integers(1, 7)))])
+        for m in stack:
+            for j in np.flatnonzero(rng.random(n) < 0.5):
+                m[:, j] = _boundary_column(n, rng,
+                                           entries[rng.integers(len(entries))],
+                                           targets[rng.integers(len(targets))])
+        if rng.random() < 0.1:
+            stack[rng.integers(len(stack)), 0, 0] = [np.nan, np.inf, -np.inf][
+                rng.integers(3)]
+        alone = []
+        for m in stack:
+            if not np.isfinite(m).all():
+                with pytest.raises(ValidationError, match="non-finite"):
+                    TransitionMatrix(m)
+                alone.append(None)
+                continue
+            try:
+                want = reference_transition_matrix(m)
+            except ValidationError:
+                with pytest.raises(ValidationError):
+                    TransitionMatrix(m)
+                alone.append(None)
+            else:
+                got = TransitionMatrix(m).matrix
+                assert got.tobytes() == want.tobytes()
+                alone.append(got)
+        gated = stack.copy()
+        passed = column_stochastic(gated)
+        assert passed.tolist() == [a is not None for a in alone]
+        for k in np.flatnonzero(passed):
+            assert gated[k].tobytes() == alone[k].tobytes()
+        seen.add((bool(passed.all()), bool(passed.any())))
+        for a in alone:
+            if a is not None:
+                seen.update(("zero", bool(sign)) for sign in np.signbit(a[a == 0.0]))
+    # all pass, some pass, none pass; +0.0 and -0.0 among the accepted
+    assert seen == {(True, True), (False, True), (False, False),
+                    ("zero", False), ("zero", True)}
+
+
+def test_direct_witness_cannot_be_made_writable():
+    rng = np.random.default_rng(33)
+    base = random_column_stochastic(4, rng)
+    pair = (TransitionMatrix(random_column_stochastic(4, rng) @ base, t=2.0),
+            TransitionMatrix(base, t=1.0))
+    verdict, = direct_verdicts([pair])
+    assert verdict.status == "divisible"
+    witness = verdict.witness.matrix
+    assert not witness.flags.writeable
+    with pytest.raises(ValueError):
+        witness.flags.writeable = True
 
 
 def test_transition_matrix_requires_square():
