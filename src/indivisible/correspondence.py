@@ -79,7 +79,7 @@ class PotentialMatrix(SquareMatrix):
     def __post_init__(self):
         m = square_matrix(self.matrix, complex)
         norms = np.linalg.norm(m, axis=0)
-        bad = [j for j in range(m.shape[1]) if abs(norms[j] - 1.0) > COLUMN_NORM_TOL]
+        bad = np.flatnonzero(np.abs(norms - 1.0) > COLUMN_NORM_TOL).tolist()
         if bad:
             raise ValidationError(
                 f"columns {bad} do not have unit 2-norm",
@@ -91,30 +91,34 @@ class PotentialMatrix(SquareMatrix):
 class KrausSet:
     """Operators K_beta, each supported on column beta only, summing to identity.
 
+    The constructor takes a sequence of N x N operators; ``operators`` holds
+    them as one read-only complex (N, N, N) stack, K_beta = ``operators[beta]``.
     ``deviation`` is the completeness defect max |sum K^dag K - 1| measured
     when the set was validated.
     """
 
-    operators: tuple
+    operators: np.ndarray
     deviation: float = field(init=False)
 
     def __post_init__(self):
-        ops = tuple(np.array(k, dtype=complex) for k in self.operators)
-        if not ops:
+        shapes = [np.shape(k) for k in self.operators]
+        if not shapes:
             raise ValidationError("empty Kraus set")
-        n = ops[0].shape[0]
-        if len(ops) != n:
+        n = shapes[0][0]
+        if len(shapes) != n:
             raise ValidationError(
-                f"expected {n} operators for dimension {n}, got {len(ops)}")
-        for beta, k in enumerate(ops):
-            if k.shape != (n, n):
-                raise ValidationError(f"operator {beta} has shape {k.shape}")
-            mask = np.ones(n, dtype=bool)
-            mask[beta] = False
-            if np.any(k[:, mask] != 0):
-                raise ValidationError(
-                    f"operator {beta} has support outside column {beta}")
-        dev = completeness_deviation(*ops)
+                f"expected {n} operators for dimension {n}, got {len(shapes)}")
+        for beta, shape in enumerate(shapes):
+            if shape != (n, n):
+                raise ValidationError(f"operator {beta} has shape {shape}")
+        ops = np.array(self.operators, dtype=complex)
+        # outside[beta, j]: column j of K_beta has a nonzero entry, j != beta
+        outside = (ops != 0).any(axis=1) & ~np.eye(n, dtype=bool)
+        bad = np.flatnonzero(outside.any(axis=1)).tolist()
+        if bad:
+            raise ValidationError(
+                f"operator {bad[0]} has support outside column {bad[0]}")
+        dev = completeness_deviation(ops)
         if not dev <= KRAUS_IDENTITY_TOL:
             raise ValidationError(
                 f"completeness fails: max |sum K^dag K - 1| = {dev:.3e}",
@@ -123,7 +127,7 @@ class KrausSet:
 
     @property
     def n(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[0]
 
 
 @dataclass(frozen=True)
@@ -418,12 +422,10 @@ def kraus_from_potential(theta: PotentialMatrix) -> KrausSet:
     sum_beta |(K_beta)_ij|^2 recovers Gamma entrywise.
     """
     n = theta.n
-    ops = []
-    for beta in range(n):
-        k = np.zeros((n, n), dtype=complex)
-        k[:, beta] = theta.matrix[:, beta]
-        ops.append(k)
-    return KrausSet(tuple(ops))
+    ops = np.zeros((n, n, n), dtype=complex)
+    beta = np.arange(n)
+    ops[beta, :, beta] = theta.matrix.T
+    return KrausSet(ops)
 
 
 def apply_kraus(kraus: KrausSet, rho: DensityMatrix) -> DensityMatrix:
@@ -441,20 +443,21 @@ def stinespring_dilate(kraus: KrausSet) -> UnitaryMatrix:
     (ancilla at its reference state 0), because K_beta is supported on column
     beta only.  So U is N blocks: columns j*N .. j*N + N-1 map into rows
     j, j+N, ..., as the unitary Q_j whose first column is K_j |j>, a unit
-    vector by completeness.  Q_j comes from the QR factorization of
-    [K_j |j> | 1], its first column replaced by K_j |j> itself (the two
-    differ by the phase of R[0, 0]).  U is unitary to machine precision,
-    deterministic, and has at most N^3 nonzero entries.
+    vector by completeness.  Every K_j |j> is read from the Kraus stack at
+    once, as row j of ``operators[j, :, j]``.  Q_j comes from the QR
+    factorization of [K_j |j> | 1], its first column replaced by K_j |j>
+    itself (the two differ by the phase of R[0, 0]).  U is unitary to
+    machine precision, deterministic, and has at most N^3 nonzero entries.
     """
     n = kraus.n
-    cols = np.stack([k[:, j] for j, k in enumerate(kraus.operators)])
+    j = np.arange(n)
+    cols = kraus.operators[j, :, j]
     a = np.concatenate([cols[:, :, None],
                         np.broadcast_to(np.eye(n), (n, n, n))], axis=2)
     q = np.linalg.qr(a)[0]
     q[:, :, 0] = cols
     # u[i, beta, j, k] is row i*N + beta, column j*N + k; block j has beta = j
     u = np.zeros((n, n, n, n), dtype=complex)
-    j = np.arange(n)
     u[:, j, j, :] = q.transpose(1, 0, 2)
     return UnitaryMatrix(u.reshape(n * n, n * n))
 

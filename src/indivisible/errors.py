@@ -93,15 +93,18 @@ def require_hermitian(m: np.ndarray, tol: float) -> None:
             f"exceeds {tol:.0e}", deviation=dev)
 
 
-def completeness_deviation(*ops: np.ndarray) -> float:
-    """max |sum_k K_k^dag K_k - 1|; for a single operator, its unitarity defect.
+def completeness_deviation(ops: np.ndarray) -> float:
+    """max |sum_k K_k^dag K_k - 1| over a (K, N, N) stack of operators; for a
+    single N x N operator, its unitarity defect.
 
     Entries too large to square give inf or NaN, never a warning; callers
     accept only ``dev <= tol``, which refuses both.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(k.conj().T @ k for k in ops)
-        return float(np.max(np.abs(total - np.eye(total.shape[0]))))
+        total = ops.conj().swapaxes(-1, -2) @ ops
+        if ops.ndim == 3:
+            total = total.sum(axis=0)
+        return float(np.max(np.abs(total - np.eye(ops.shape[-1]))))
 
 
 # A time grid has fewer steps than this; past it, its float arrays would not
@@ -131,13 +134,15 @@ def uniform_grid(dt: float, duration: float) -> tuple[int, float]:
 def freeze(obj, **fields) -> None:
     """Set each field of the frozen dataclass ``obj``, arrays read-only.
 
-    Arrays directly in a field, or in a tuple field, lose their writeable
-    flag.  Callers pass fresh copies, so their own inputs stay writable.
+    An array field is stored as a view of a read-only buffer over its data,
+    so neither it nor any array on its ``.base`` chain can be made writable
+    again.  Callers pass fresh copies, so their own inputs stay writable; a
+    C-contiguous copy is stored without copying it again.
     """
     for name, value in fields.items():
-        for arr in value if isinstance(value, tuple) else (value,):
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
+        if isinstance(value, np.ndarray):
+            data = memoryview(np.ascontiguousarray(value)).toreadonly()
+            value = np.frombuffer(data, value.dtype).reshape(value.shape)
         object.__setattr__(obj, name, value)
 
 

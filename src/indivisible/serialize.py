@@ -11,7 +11,9 @@ its bytes.
 Floats are formatted in bulk.  A finite, non-empty 1-D or 2-D float64 array
 is one ``%`` against a template for the whole array: each exact zero is the
 literal ``0`` (``-0`` when its sign bit is set) and every other entry a
-``%.17g`` field.  The whole body of a CSV is one ``%`` as well.  Both give the
+``%.17g`` field.  Rows that share a zero pattern share their template text,
+which is joined once per pattern: a dilation's N^2 rows follow about N
+patterns.  The whole body of a CSV is one ``%`` as well.  Both give the
 bytes of formatting each float on its own.
 
 Parsing raises InputFormatError with the dotted path of the offending field,
@@ -99,9 +101,16 @@ def _array_text(arr: np.ndarray) -> str:
     rows = arr.reshape(-1, arr.shape[-1])
     zero = rows == 0.0
     if zero.any():
-        pick = zero * (np.signbit(rows) + 1)  # 0: a field, 1: "0", 2: "-0"
-        fields = np.array([FLOAT_FORMAT, "0", "-0"], dtype=object)[pick].tolist()
-        body = "],[".join(map(",".join, fields))
+        # One byte per entry, 0: a field, 1: "0", 2: "-0" (a zero's 1 shifted
+        # by its sign bit); a row's bytes key its text, joined once per key.
+        pick = zero.view(np.uint8) << np.signbit(rows)
+        raw, width = pick.tobytes(), rows.shape[1]
+        keys = [raw[i:i + width] for i in range(0, len(raw), width)]
+        texts = dict.fromkeys(keys)
+        codes = np.frombuffer(b"".join(texts), np.uint8).reshape(-1, width)
+        fields = np.array([FLOAT_FORMAT, "0", "-0"], dtype=object)[codes]
+        texts = dict(zip(texts, map(",".join, fields.tolist())))
+        body = "],[".join(map(texts.__getitem__, keys))
         values = rows[~zero].tolist()
     else:
         body = "],[".join([",".join([FLOAT_FORMAT] * rows.shape[1])] * len(rows))

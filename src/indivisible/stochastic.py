@@ -321,8 +321,6 @@ def direct_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
     passed = column_stochastic(ms)
     done, stack = live[passed], ms[passed]
     final = np.abs(stack @ gp[done] - gt[done]).max(axis=(1, 2))
-    # Views of a read-only stack cannot be made writable again.
-    stack.flags.writeable = False
     for k, m, residual in zip(done.tolist(), stack, final.tolist()):
         if residual <= WITNESS_RESIDUAL_TOL:
             witness = object.__new__(TransitionMatrix)  # gated above

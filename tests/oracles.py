@@ -5,12 +5,15 @@ closed-form cases, or a second implementation from a different library.
 None of it imports the code under test beyond plain numpy arrays, except
 ``reference_direct_verdict``, ``reference_transition_matrix``, the 2N x 2N
 real step builders ``reference_strang_step_matrix`` and
-``reference_rk4_step_matrix``, and ``reference_sh_energy``: earlier versions
-of the code kept as they were.
+``reference_rk4_step_matrix``, ``reference_sh_energy``, and the tuple-form
+``ReferenceKrausSet``, ``reference_kraus_from_potential`` and
+``reference_stinespring_dilate``: earlier versions of the code kept as they
+were.
 """
 
 import json
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -240,6 +243,83 @@ def reference_marginal(u: np.ndarray, n: int) -> np.ndarray:
         block = u[:, j * n].reshape(n, n)
         gamma[:, j] = np.sum(np.abs(block) ** 2, axis=1)
     return gamma
+
+
+def reference_completeness_deviation(*ops: np.ndarray) -> float:
+    """max |sum_k K_k^dag K_k - 1|, summed one operator at a time."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(k.conj().T @ k for k in ops)
+        return float(np.max(np.abs(total - np.eye(total.shape[0]))))
+
+
+@dataclass(frozen=True)
+class ReferenceKrausSet:
+    """The Kraus set as a tuple of N x N operators, checked one at a time.
+
+    Same gates, order and messages as the library's ``KrausSet`` had; the
+    operators are stored as given, without the storage rule.
+    """
+
+    operators: tuple
+    deviation: float = field(init=False)
+
+    def __post_init__(self):
+        from indivisible.correspondence import KRAUS_IDENTITY_TOL
+        from indivisible.errors import ValidationError
+
+        ops = tuple(np.array(k, dtype=complex) for k in self.operators)
+        if not ops:
+            raise ValidationError("empty Kraus set")
+        n = ops[0].shape[0]
+        if len(ops) != n:
+            raise ValidationError(
+                f"expected {n} operators for dimension {n}, got {len(ops)}")
+        for beta, k in enumerate(ops):
+            if k.shape != (n, n):
+                raise ValidationError(f"operator {beta} has shape {k.shape}")
+            mask = np.ones(n, dtype=bool)
+            mask[beta] = False
+            if np.any(k[:, mask] != 0):
+                raise ValidationError(
+                    f"operator {beta} has support outside column {beta}")
+        dev = reference_completeness_deviation(*ops)
+        if not dev <= KRAUS_IDENTITY_TOL:
+            raise ValidationError(
+                f"completeness fails: max |sum K^dag K - 1| = {dev:.3e}",
+                deviation=dev)
+        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "deviation", dev)
+
+    @property
+    def n(self) -> int:
+        return self.operators[0].shape[0]
+
+
+def reference_kraus_from_potential(theta: np.ndarray) -> ReferenceKrausSet:
+    """K_beta holds column beta of Theta in its own column beta, zero elsewhere."""
+    n = theta.shape[0]
+    ops = []
+    for beta in range(n):
+        k = np.zeros((n, n), dtype=complex)
+        k[:, beta] = theta[:, beta]
+        ops.append(k)
+    return ReferenceKrausSet(tuple(ops))
+
+
+def reference_stinespring_dilate(kraus: ReferenceKrausSet) -> np.ndarray:
+    """The N^2 x N^2 dilation, its K_j |j> gathered one operator at a time:
+    block j is the Q of [K_j |j> | 1] with K_j |j> as its first column."""
+    n = kraus.n
+    cols = np.stack([k[:, j] for j, k in enumerate(kraus.operators)])
+    a = np.concatenate([cols[:, :, None],
+                        np.broadcast_to(np.eye(n), (n, n, n))], axis=2)
+    q = np.linalg.qr(a)[0]
+    q[:, :, 0] = cols
+    # u[i, beta, j, k] is row i*N + beta, column j*N + k; block j has beta = j
+    u = np.zeros((n, n, n, n), dtype=complex)
+    j = np.arange(n)
+    u[:, j, j, :] = q.transpose(1, 0, 2)
+    return u.reshape(n * n, n * n)
 
 
 def reference_orthostochastic(gamma: np.ndarray) -> np.ndarray | None:

@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from indivisible import cli
 from indivisible.correspondence import (
+    KRAUS_IDENTITY_TOL,
+    UNITARITY_TOL,
     DensityMatrix,
     KrausSet,
     PolygonViolation,
@@ -27,8 +32,11 @@ from indivisible.errors import (
     ValidationError,
 )
 from indivisible.stochastic import Distribution, TransitionMatrix
-from oracles import (polygon_excess, random_orthogonal, random_unitary,
-                     reference_marginal, reference_orthostochastic)
+from oracles import (ReferenceKrausSet, polygon_excess, random_orthogonal,
+                     random_unitary, reference_completeness_deviation,
+                     reference_dumps, reference_kraus_from_potential,
+                     reference_marginal, reference_orthostochastic,
+                     reference_stinespring_dilate)
 
 FIXTURE_3 = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 FLAT_2 = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -342,6 +350,92 @@ def test_kraus_set_validates_completeness():
     half[0, 0] = 1.0
     with pytest.raises(ValidationError):
         KrausSet([half, half])
+
+
+def _dilate_cases():
+    """(Gamma, phases or None) for n = 1..10 with and without phases, a
+    permutation and Gammas with exact zero entries."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for n in range(1, 11):
+        m = rng.uniform(0.05, 1.0, size=(n, n))
+        gamma = m / m.sum(axis=0, keepdims=True)
+        cases += [(gamma, None), (gamma, rng.uniform(0.0, 2.0 * np.pi, (n, n)))]
+    perm = np.eye(5)[[3, 0, 4, 1, 2]]
+    cases += [(perm, None), (perm, rng.uniform(0.0, 2.0 * np.pi, (5, 5)))]
+    for n in (3, 6, 9):
+        m = rng.uniform(0.05, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.5)
+        m[np.arange(n), np.arange(n)] = 0.5
+        gamma = m / m.sum(axis=0, keepdims=True)
+        cases += [(gamma, None), (gamma, rng.uniform(0.0, 2.0 * np.pi, (n, n)))]
+    return cases
+
+
+DILATE_CASES = _dilate_cases()
+
+
+@pytest.mark.parametrize("case", range(len(DILATE_CASES)))
+def test_dilate_matches_the_tuple_form_bitwise(case, tmp_path):
+    gamma, phases = DILATE_CASES[case]
+    n = gamma.shape[0]
+    theta = potential_from_transition(
+        TransitionMatrix(gamma), np.zeros((n, n)) if phases is None else phases)
+    kraus = kraus_from_potential(theta)
+    ref_kraus = reference_kraus_from_potential(theta.matrix)
+    assert kraus.deviation == ref_kraus.deviation
+    assert kraus.operators.tobytes() == np.array(ref_kraus.operators).tobytes()
+    ref_u = reference_stinespring_dilate(ref_kraus)
+    assert stinespring_dilate(kraus).matrix.tobytes() == ref_u.tobytes()
+
+    payload = {"matrix": gamma.tolist()}
+    if phases is not None:
+        payload["phases"] = phases.tolist()
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(json.dumps(payload))
+    assert cli.main(["dilate", "--input", str(inp), "--output", str(out)]) == 0
+    want = {
+        "n": n,
+        "dilation_dim": n * n,
+        "unitary": {"re": ref_u.real, "im": ref_u.imag},
+        "kraus_identity_residual": ref_kraus.deviation,
+        "marginal_residual": float(np.max(np.abs(reference_marginal(ref_u, n)
+                                                 - gamma))),
+        "unitarity_residual": reference_completeness_deviation(ref_u),
+        "tolerances": {"kraus_identity": KRAUS_IDENTITY_TOL,
+                       "unitarity": UNITARITY_TOL},
+        "command": "dilate", "seed": 42, "schema": cli.SCHEMA_VERSION,
+    }
+    assert out.read_text() == reference_dumps(want) + "\n"
+
+
+def _refusal(make, ops):
+    with pytest.raises(ValidationError) as err:
+        make(ops)
+    return str(err.value), repr(err.value.details)  # repr: NaN equals itself
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kraus_set_refuses_a_bad_operator_as_the_tuple_form(n):
+    rng = np.random.default_rng(n)
+    theta = random_unitary(n, rng)
+    good = reference_kraus_from_potential(theta).operators
+    for beta in range(n):
+        faults = {"scaled": lambda k: k * 1.5,
+                  "nan": lambda k: np.where(k != 0, np.nan, k)}
+        if n > 1:
+            outside = (beta + 1) % n
+            faults["support"] = lambda k: k + 0.25 * (np.arange(n) == outside)
+            faults["support_nan"] = lambda k: k + np.where(
+                np.arange(n) == outside, np.nan, 0.0)
+        for name, fault in faults.items():
+            ops = [k.copy() for k in good]
+            ops[beta] = fault(ops[beta])
+            want = _refusal(ReferenceKrausSet, tuple(ops))
+            assert _refusal(KrausSet, tuple(ops)) == want, (beta, name)
+            assert _refusal(KrausSet, np.array(ops)) == want, (beta, name)
+            if name == "support":
+                assert want[0] == (f"operator {beta} has support outside "
+                                   f"column {beta}")
 
 
 def test_apply_kraus_matches_channel_sum():

@@ -177,6 +177,30 @@ def test_canonical_dumps_array_views_match_reference(re, data):
         _assert_dumps_as_reference(view)
 
 
+@st.composite
+def _patterned(draw):
+    """A 2-D array whose rows follow at most 3 zero patterns: per entry, a
+    finite value, 0.0 or -0.0, as dilation blocks and Kraus stacks have."""
+    width = draw(st.integers(min_value=1, max_value=8))
+    patterns = draw(st.lists(st.lists(st.sampled_from([0, 1, 2]), min_size=width,
+                                      max_size=width), min_size=1, max_size=3))
+    rows = draw(st.lists(st.sampled_from(patterns), min_size=1, max_size=10))
+    codes = np.array(rows)
+    values = draw(hnp.arrays(np.float64, codes.shape, elements=NONZERO))
+    return np.where(codes == 1, 0.0, np.where(codes == 2, -0.0, values))
+
+
+@given(_patterned(), _patterned())
+def test_canonical_dumps_rows_sharing_a_pattern_match_reference(arr, other):
+    other = np.resize(other, arr.shape)
+    z = np.empty(arr.shape, complex)
+    z.real, z.imag = arr, other
+    flipped = np.ascontiguousarray(arr.T).T  # arr, as a transposed view
+    for view in (arr, arr[0], arr[:, 0], z.real, z.imag, z.imag[-1], flipped,
+                 arr.T):
+        _assert_dumps_as_reference(view)
+
+
 @given(hnp.arrays(np.float64, SHAPES, elements=ZEROED), NON_FINITE,
        st.integers(min_value=0))
 def test_canonical_dumps_array_non_finite_raises_as_reference(arr, bad, at):

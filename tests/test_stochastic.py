@@ -223,9 +223,11 @@ def test_direct_witness_cannot_be_made_writable():
     verdict, = direct_verdicts([pair])
     assert verdict.status == "divisible"
     witness = verdict.witness.matrix
-    assert not witness.flags.writeable
-    with pytest.raises(ValueError):
-        witness.flags.writeable = True
+    while isinstance(witness, np.ndarray):  # the witness and its bases
+        assert not witness.flags.writeable
+        with pytest.raises(ValueError):
+            witness.flags.writeable = True
+        witness = witness.base
 
 
 def test_transition_matrix_requires_square():

@@ -16,6 +16,7 @@ from indivisible.oscillator import (HermitianMatrix, PhaseSpaceState,
                                     PhaseTrajectory, SHSystem, StateVector)
 from indivisible.stochastic import (Distribution, IndivisibleProcess,
                                     TransitionMatrix)
+from oracles import reference_completeness_deviation
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -68,6 +69,7 @@ def _stored_arrays(value):
 @pytest.mark.parametrize("name", sorted(VALUES))
 def test_values_copy_their_input_and_store_it_read_only(name):
     make, inputs = VALUES[name]
+    inputs = [arg.copy() for arg in inputs]  # the test writes to them
     value = make(*inputs)
     stored = _stored_arrays(value)
     assert stored
@@ -86,13 +88,34 @@ def test_values_copy_their_input_and_store_it_read_only(name):
             value.transitions[(5.0, 9.0)] = value.transitions[(1.0, 0.0)]
 
 
-# The residual each type measures while validating, against the same
-# function on what it stores.
+def _base_chain(arr):
+    """``arr`` and every ndarray on its ``.base`` chain."""
+    chain = []
+    while isinstance(arr, np.ndarray):
+        chain.append(arr)
+        arr = arr.base
+    return chain
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_stored_arrays_cannot_be_made_writable_again(name):
+    make, inputs = VALUES[name]
+    value = make(*inputs)
+    for stored in _stored_arrays(value):
+        before = stored.tobytes()
+        for arr in _base_chain(stored):
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+        assert stored.tobytes() == before
+
+
+# The residual each type measures while validating, against a second
+# computation on what it stores: for KrausSet, one operator at a time.
 @pytest.mark.parametrize("value, measured", [
     (UnitaryMatrix(HADAMARD.astype(complex)),
      lambda u: completeness_deviation(u.matrix)),
     (KrausSet([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
-     lambda kraus: completeness_deviation(*kraus.operators)),
+     lambda kraus: reference_completeness_deviation(*kraus.operators)),
 ], ids=["UnitaryMatrix", "KrausSet"])
 def test_measured_deviation_is_kept_read_only(value, measured):
     assert value.deviation == measured(value)
