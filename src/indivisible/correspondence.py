@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (NotRankOneError, SquareMatrix, UnsupportedSizeError,
-                     ValidationError, completeness_deviation, freeze,
-                     require_hermitian, square_matrix)
+                     ValidationError, ValueType, completeness_deviation,
+                     freeze, require_hermitian, square_matrix)
 from .oscillator import HERMITICITY_TOL, HermitianMatrix, StateVector
 from .stochastic import Distribution, TransitionMatrix
 
@@ -88,7 +88,7 @@ class PotentialMatrix(SquareMatrix):
 
 
 @dataclass(frozen=True)
-class KrausSet:
+class KrausSet(ValueType):
     """Operators K_beta, each supported on column beta only, summing to identity.
 
     The constructor takes a sequence of N x N operators; ``operators`` holds
@@ -104,6 +104,9 @@ class KrausSet:
         shapes = [np.shape(k) for k in self.operators]
         if not shapes:
             raise ValidationError("empty Kraus set")
+        for beta, shape in enumerate(shapes):
+            if len(shape) != 2:
+                raise ValidationError(f"operator {beta} has shape {shape}")
         n = shapes[0][0]
         if len(shapes) != n:
             raise ValidationError(

@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, IntegrationError, ValidationError, freeze,
-                     uniform_grid)
+from .errors import (DomainError, IntegrationError, ValidationError,
+                     ValueType, freeze, uniform_grid)
 
 # Reversal-invariance sampling: |F(x, y) - F(x, -y)| is probed on SAMPLES
 # uniform draws from [-BOX, BOX]^2 and compared against INVARIANCE_TOL.
@@ -132,7 +132,7 @@ def eval_complex_flow(flow: ComplexFlow, z: complex) -> complex:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(ValueType):
     """Samples (t_k, x_k, y_k) on a uniform grid; arrays are read-only."""
 
     times: np.ndarray

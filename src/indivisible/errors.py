@@ -1,10 +1,11 @@
 """Exception types, shared matrix checks, the shared time grid and the value
-types' storage rule."""
+types' storage and copy rules."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -146,8 +147,22 @@ def freeze(obj, **fields) -> None:
         object.__setattr__(obj, name, value)
 
 
+class ValueType:
+    """Base of the validated value types.
+
+    A pickle or a copy is rebuilt by the constructor from the ``init``
+    fields, so it is validated again and stored under the same rule; a
+    read-only mapping is handed over as a dict.
+    """
+
+    def __reduce__(self):
+        args = (getattr(self, f.name) for f in fields(self) if f.init)
+        return type(self), tuple(dict(a) if isinstance(a, MappingProxyType)
+                                 else a for a in args)
+
+
 @dataclass(frozen=True)
-class SquareMatrix:
+class SquareMatrix(ValueType):
     """Base of the value types that hold one square ``matrix``."""
 
     matrix: np.ndarray

@@ -21,18 +21,25 @@ matching the componentwise Schrodinger equation.)
 Time evolution is integrated symplectically: the A-part and B-part of H_SH
 are each exactly solvable (mode rotations and an orthogonal flow), and a
 Strang composition B/2 . A . B/2 gives a second-order scheme whose energy
-error stays bounded instead of drifting.
+error stays bounded instead of drifting.  Both sub-flows are real and come
+from real symmetric eigensolves: the mode rotations cos(A dt) and
+sin(A dt) from one of A, and the orthogonal flow h = exp(B dt/2) =
+cos(s sqrt X) + B s sinc(s sqrt X), with s = dt/2 and X = B^T B, from one
+of X.
 
 Both sub-flows commute with the complex structure J: (q, p) -> (-p, q),
 which is multiplication by i on z = q + i p: the A-flow turns q and p
 through the same mode rotations, the B-flow moves both by the same
 orthogonal matrix.  A real map commuting with J is the real form
 [[Re S, -Im S], [Im S, Re S]] of an N x N complex S, so the step is the
-unitary S = exp(B dt/2) exp(-i A dt) exp(B dt/2) acting on z.  That is the
-paper's point in miniature: the real phase space carries the Schrodinger
-flow only together with J, and with J it is complex Hilbert-space
-evolution.  Since H_SH is quadratic, a stride of s steps is the single
-N x N map S**s, built by repeated squaring and applied once per sample.
+unitary S = h (cos(A dt) - i sin(A dt)) h acting on z, and J enters only
+in that pairing.  That is the paper's point in miniature: the real phase
+space carries the Schrodinger flow only together with J, and with J it is
+complex Hilbert-space evolution.  Since H_SH is quadratic, a stride of k
+steps is the N x N map S**k.  A power applied at many samples is formed
+once by repeated squaring; one used once (a single stride, or the last
+partial one) is applied to the state square by square, without forming
+it.
 
 The post-processing functions (sh_energy, sh_recombine, exact_evolve) take
 a whole trajectory, or an array of times, as readily as a single state: the
@@ -46,9 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IntegrationError, SquareMatrix, ValidationError, freeze,
-                     require_finite, require_hermitian, square_matrix,
-                     uniform_grid)
+from .errors import (IntegrationError, SquareMatrix, ValidationError,
+                     ValueType, freeze, require_finite, require_hermitian,
+                     square_matrix, uniform_grid)
 
 HERMITICITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10
@@ -66,7 +73,7 @@ class HermitianMatrix(SquareMatrix):
 
 
 @dataclass(frozen=True)
-class StateVector:
+class StateVector(ValueType):
     """Complex state; when flagged normalized, the 2-norm must be 1."""
 
     psi: np.ndarray
@@ -90,7 +97,7 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class PhaseSpaceState:
+class PhaseSpaceState(ValueType):
     """Real phase-space point (q, p)."""
 
     q: np.ndarray
@@ -106,7 +113,7 @@ class PhaseSpaceState:
 
 
 @dataclass(frozen=True)
-class SHSystem:
+class SHSystem(ValueType):
     """Real pair (A, B) with A exactly symmetric and B exactly antisymmetric."""
 
     a: np.ndarray
@@ -175,7 +182,7 @@ def sh_energy(system: SHSystem, state: PhaseSpaceState | PhaseTrajectory
 
 
 @dataclass(frozen=True)
-class PhaseTrajectory:
+class PhaseTrajectory(ValueType):
     """Strided phase-space samples; q and p have one row per sample."""
 
     times: np.ndarray
@@ -197,29 +204,62 @@ class PhaseTrajectory:
         return PhaseSpaceState(self.q[k], self.p[k])
 
 
-def _unitary_flow(h: np.ndarray, s: float) -> np.ndarray:
-    # exp(-i h s) for hermitian h, from one eigendecomposition.
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * s)) @ v.conj().T
+def _orthogonal_flow(b: np.ndarray, s: float) -> np.ndarray:
+    """exp(B s) for real antisymmetric B, from a real symmetric eigensolve.
+
+    B^2 = -X with X = B^T B, so the even and odd terms of the series are
+    cos(s sqrt X) and B s sinc(s sqrt X).  Both are smooth functions of X
+    itself, so a rounding-level negative or zero eigenvalue of X (odd N
+    always has one) does no harm.  X is taken of B / max|B|, which cannot
+    overflow.
+    """
+    beta = np.abs(b).max(initial=0.0)
+    if beta == 0.0:
+        return np.eye(len(b))
+    unit = b / beta
+    x, q = np.linalg.eigh(unit.T @ unit)
+    mu = beta * s * np.sqrt(np.maximum(x, 0.0))
+    sinc = np.divide(np.sin(mu), mu, out=np.ones_like(mu), where=mu != 0.0)
+    return (q * np.cos(mu) + b @ (q * (s * sinc))) @ q.T
 
 
 def _step_matrix(system: SHSystem, dt: float, method: str) -> np.ndarray:
     """One step of ``method`` as an N x N complex map on z = q + i p.
 
-    "strang" is B half, A full, B half: exp(B dt/2) comes from the hermitian
-    iB and is real orthogonal, exp(-i A dt) from A.  "rk4" is classical RK4
-    on the linear field z' = -i H z with H = A + i B, the sum of
-    (-i H dt)^k / k! for k = 0..4.
+    "strang" is B half, A full, B half, each sub-flow real: the mode
+    rotations cos(A dt) and sin(A dt) from one eigensolve A = V diag(w) V^T,
+    and the orthogonal flow h = exp(B dt/2) from one of B^T B.  J pairs
+    them into the unitary h (cos(A dt) - i sin(A dt)) h, whose real and
+    imaginary parts are (h V) diag(cos(w dt)) (h^T V)^T and the same with
+    -sin(w dt).  "rk4" is classical RK4 on the linear field z' = -i H z
+    with H = A + i B, the sum of (-i H dt)^k / k! for k = 0..4.
     """
     if method == "strang":
-        half = _unitary_flow(1j * system.b, dt / 2.0).real
-        return half @ _unitary_flow(system.a, dt) @ half
+        w, v = np.linalg.eigh(system.a)
+        h = _orthogonal_flow(system.b, dt / 2.0)
+        hv, htv = h @ v, h.T @ v
+        step = np.empty((system.n, system.n), dtype=complex)
+        step.real = (hv * np.cos(w * dt)) @ htv.T
+        step.imag = (hv * -np.sin(w * dt)) @ htv.T
+        return step
     gen = system.b - 1j * system.a
     m = term = np.eye(system.n, dtype=complex)
     for k in (1, 2, 3, 4):
         term = (gen @ term) * (dt / k)
         m = m + term
     return m
+
+
+def _power_applied(step: np.ndarray, k: int, z: np.ndarray) -> np.ndarray:
+    """step**k @ z by repeated squaring, without forming step**k: z meets
+    each square of step whose bit of k is set."""
+    while True:
+        if k & 1:
+            z = step @ z
+        k >>= 1
+        if not k:
+            return z
+        step = step @ step
 
 
 def sh_integrate(system: SHSystem, state: PhaseSpaceState, dt: float,
@@ -232,9 +272,11 @@ def sh_integrate(system: SHSystem, state: PhaseSpaceState, dt: float,
     "strang" is the symplectic default; "rk4" is kept for comparison runs
     and has no symplecticity guarantee.
     sample_stride > 1 records every stride-th step (the first and last steps
-    are always included).  The stride is taken as one N x N complex matrix,
-    step**stride, so each recorded sample costs one matrix-vector product;
-    stride 1 does exactly the products of a step-by-step loop.  A method
+    are always included).  With two or more strides the stride is taken as
+    one N x N complex matrix, step**stride, so each recorded sample costs
+    one matrix-vector product, and stride 1 does exactly the products of a
+    step-by-step loop.  A single stride and the last partial one apply
+    their power to the state by repeated squaring.  A method
     that blows up (rk4 at too large a step) raises IntegrationError naming
     the first recorded step whose sample is not finite.
     """
@@ -253,11 +295,14 @@ def sh_integrate(system: SHSystem, state: PhaseSpaceState, dt: float,
     # Overflow is detected below, from the samples, rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         step = _step_matrix(system, dt, method)
-        jump = np.linalg.matrix_power(step, stride)
-        for k in range(1, jumps + 1):
-            samples[k] = jump @ samples[k - 1]
+        if jumps == 1:
+            samples[1] = _power_applied(step, stride, samples[0])
+        else:
+            jump = np.linalg.matrix_power(step, stride)
+            for k in range(1, jumps + 1):
+                samples[k] = jump @ samples[k - 1]
         if tail:
-            samples[-1] = np.linalg.matrix_power(step, tail) @ samples[-2]
+            samples[-1] = _power_applied(step, tail, samples[-2])
     bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
     if bad.size:
         step_index = int(idx[bad[0]])

@@ -25,8 +25,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (SquareMatrix, ValidationError, freeze, require_finite,
-                     square_matrix)
+from .errors import (SquareMatrix, ValidationError, ValueType, freeze,
+                     require_finite, square_matrix)
 from .lp import find_nonnegative_solution
 
 SUM_TOL = 1e-12          # distributions and matrix columns must sum to 1 within this
@@ -39,7 +39,7 @@ LP_RELAXATION = 1e-10
 
 
 @dataclass(frozen=True)
-class Distribution:
+class Distribution(ValueType):
     """Probability vector: nonnegative entries summing to 1 within SUM_TOL."""
 
     p: np.ndarray
@@ -114,7 +114,7 @@ def column_stochastic(stack: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IndivisibleProcess:
+class IndivisibleProcess(ValueType):
     """Transition data keyed by (t, t0) with no interpolation or completion.
 
     targets are the times the process can speak about at all; conditioning

@@ -350,6 +350,12 @@ def test_kraus_set_validates_completeness():
     half[0, 0] = 1.0
     with pytest.raises(ValidationError):
         KrausSet([half, half])
+    # An operator that is not a matrix is named with its shape.
+    for ops, beta, shape in (([1.0], 0, ()), ([[1.0]], 0, (1,)),
+                             ([np.eye(2), [1.0, 0.0]], 1, (2,))):
+        with pytest.raises(ValidationError) as err:
+            KrausSet(ops)
+        assert str(err.value) == f"operator {beta} has shape {shape}"
 
 
 def _dilate_cases():

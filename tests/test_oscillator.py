@@ -135,14 +135,25 @@ REAL_STEP_MATRIX = {"strang": reference_strang_step_matrix,
 def test_complex_step_is_the_old_real_step(method):
     """[[Re S, -Im S], [Im S, Re S]] is the 2N x 2N real step it replaced."""
     rng = np.random.default_rng(31)
-    for n in (1, 2, 5, 16, 64):
-        system = sh_decompose(random_hermitian(n, rng))
-        for dt in (1e-4, 1e-2, 0.5):
-            step = _step_matrix(system, dt, method)
-            assert step.shape == (n, n)
-            np.testing.assert_allclose(
-                real_form(step), REAL_STEP_MATRIX[method](system, dt),
-                rtol=0.0, atol=1e-13)
+    cases = [(sh_decompose(random_hermitian(n, rng)), dt)
+             for n in (1, 2, 5, 16, 64) for dt in (1e-4, 1e-2, 0.5)]
+    # The orthogonal flow's edge cases: B = 0, A = 0, and at n = 5 a B with
+    # two equal 2 x 2 rotation blocks and a zero singular value.
+    h = random_hermitian(5, rng).matrix
+    o = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+    blocks = np.zeros((5, 5))
+    blocks[[0, 2], [1, 3]], blocks[[1, 3], [0, 2]] = 1.5, -1.5
+    for edge in (h.real, 1j * h.imag, h.real + 1j * (o @ blocks @ o.T)):
+        cases.append((sh_decompose(HermitianMatrix(edge)), 0.5))
+    if method == "strang":  # RK4's entries grow as (||H|| dt)^4 / 24
+        cases.append((sh_decompose(random_hermitian(16, rng, unit_norm=True)),
+                      50.0))
+    for system, dt in cases:
+        step = _step_matrix(system, dt, method)
+        assert step.shape == (system.n, system.n)
+        np.testing.assert_allclose(
+            real_form(step), REAL_STEP_MATRIX[method](system, dt),
+            rtol=0.0, atol=1e-13)
 
 
 def test_energy_matches_the_block_form():
@@ -160,9 +171,10 @@ def test_energy_matches_the_block_form():
 
 @pytest.mark.parametrize("method", sorted(REAL_STEP_MATRIX))
 @pytest.mark.parametrize("n", [2, 5, 16])
-@pytest.mark.parametrize("stride", [1, 3, 1000, 5000])
+@pytest.mark.parametrize("stride", [1, 3, 1000, 2047, 5000])
 def test_strided_integration_matches_step_loop(method, n, stride):
-    """2500 steps: stride 3 and 1000 leave a tail, 5000 outlasts the run.
+    """2500 steps: stride 3 and 1000 leave a tail, 2047 is one jump with an
+    11-bit exponent and a 453-step tail, 5000 outlasts the run.
 
     Stride 1 matches the complex step-by-step loop bit for bit; every
     stride stays within 1e-11 of the loop and of the 2N x 2N real loop it

@@ -2,7 +2,9 @@
 its arrays read-only, so neither the caller nor a holder can change a
 validated value after the fact."""
 
+import copy
 import dataclasses
+import pickle
 from collections.abc import Mapping
 
 import numpy as np
@@ -107,6 +109,30 @@ def test_stored_arrays_cannot_be_made_writable_again(name):
             with pytest.raises(ValueError):
                 arr.flags.writeable = True
         assert stored.tobytes() == before
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+@pytest.mark.parametrize("duplicate", [
+    lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+def test_copies_are_rebuilt_by_the_constructor(name, duplicate):
+    make, inputs = VALUES[name]
+    value = make(*inputs)
+    if hasattr(value, "deviation"):
+        # A copy measures its deviation again instead of carrying this one.
+        object.__setattr__(value, "deviation", -1.0)
+    dup = duplicate(value)
+    assert type(dup) is type(value)
+    got, want = _stored_arrays(dup), _stored_arrays(value)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for arr in (a for stored in got for a in _base_chain(stored)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+    if hasattr(value, "deviation"):
+        assert dup.deviation == completeness_deviation(
+            dup.operators if name == "KrausSet" else dup.matrix)
 
 
 # The residual each type measures while validating, against a second
