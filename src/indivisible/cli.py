@@ -255,6 +255,9 @@ def _cmd_divisibility(args) -> int:
                   "lp_relaxation": stoch.LP_RELAXATION,
                   "column_sum": stoch.SUM_TOL}
     if args.all_pairs:
+        if args.t is not None or args.tp is not None:
+            raise InputFormatError("--t" if args.t is not None else "--tp",
+                                   "not taken with --all-pairs")
         t0, stamps = _stamps(process, args)
         pairs = [(hi, lo) for i, hi in enumerate(stamps) for lo in stamps[:i]]
         gammas = [(process.transition(hi, t0), process.transition(lo, t0))
@@ -379,18 +382,14 @@ def _cmd_extract_hamiltonian(args) -> int:
                                "not below pi/2, so the quotient aliases")
     if not math.isfinite(norm * (abs(args.t) + args.dt)):
         raise InputFormatError("--t", "||H|| (|t| + dt) is not finite")
-    # Floats near t lie about |t| eps apart: a dt not above that spacing
-    # moves t + dt and t - dt onto t or a neighbour, and the quotient is not H.
-    spacing = abs(args.t) * np.finfo(float).eps
-    if not args.dt > spacing:
-        raise InputFormatError("--t", f"|t| eps is {spacing:.3g}, not below dt, "
-                               "so t +- dt cannot resolve the step")
+    # U(t + s) = U(t) U(s): the family seen from t is sampled at exactly
+    # s = 0, +-dt, so the step is exact at every t; e^{-iwt} cancels in U(t)^dag.
+    at_t = np.exp(-1j * w * args.t)
 
     def evolution(s: float) -> np.ndarray:
-        return v @ (np.exp(-1j * w * s)[:, None] * v.conj().T)
+        return v @ ((at_t * np.exp(-1j * w * s))[:, None] * v.conj().T)
 
-    recovered, anti_dev = corr.hamiltonian_from_evolution(
-        evolution, args.t, args.dt)
+    recovered, anti_dev = corr.hamiltonian_from_evolution(evolution, 0.0, args.dt)
     error = float(np.max(np.abs(recovered.matrix - h.matrix)))
     _emit(args, {
         "n": h.n,
@@ -543,8 +542,8 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         _structured_error("<integration>", str(exc))
         return 1
-    except KeyError as exc:
-        _structured_error("<lookup>", str(exc))
+    except KeyError as exc:  # str() of a KeyError is its message's repr
+        _structured_error("<lookup>", exc.args[0])
         return 1
 
 

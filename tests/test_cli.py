@@ -55,6 +55,18 @@ def test_embed_writes_report_and_csv(tmp_path):
     assert len(csv_lines) == report["samples"] + 1
 
 
+def test_embed_writes_the_csv_at_the_path_given(tmp_path):
+    inp = write(tmp_path / "law.json", {"law": "free"})
+    out, csv = tmp_path / "report.json", tmp_path / "elsewhere" / "traj.csv"
+    csv.parent.mkdir()
+    assert run(["embed", "--input", inp, "--output", out, "--T", "0.01",
+                "--csv", csv]) == 0
+    assert not out.with_suffix(".csv").exists()
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "t,x,y"
+    assert len(lines) == json.loads(out.read_text())["samples"] + 1
+
+
 def test_embed_unknown_law_exits_1(tmp_path, capsys):
     inp = write(tmp_path / "law.json", {"law": "pendulum"})
     code = run(["embed", "--input", inp, "--output", tmp_path / "r.json"])
@@ -398,6 +410,40 @@ def test_extract_hamiltonian_below_the_aliasing_bound(tmp_path):
         1.5e4 - math.sin(1.5) / 1e-4, rel=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", ["1", "1e6", "1e9", "1e10", "1e11", "1e12",
+                               "1e300", "-1e11"])
+def test_extract_hamiltonian_step_is_dt_at_every_t(tmp_path, t):
+    """The family is sampled through U(t + s) = U(t) U(s) at exactly s = +-dt,
+    so the bias is that of the quotient, 3 - sin(3 dt) / dt, at any |t|; the
+    floats nearest t +- dt lie up to 1.2e-4 apart at 1e12."""
+    inp = tmp_path / "h.json"
+    inp.write_text(DIAGONAL_HERMITIAN_TEXT % (3.0, -3.0))
+    out = tmp_path / "ham.json"
+    assert run(["extract-hamiltonian", "--input", inp, "--output", out,
+                f"--t={t}", "--dt", "1e-4"]) == 0
+    report = json.loads(out.read_text())
+    assert report["max_error_vs_input"] == pytest.approx(
+        3.0 - math.sin(3e-4) / 1e-4, abs=1e-11)
+    assert report["anti_hermitian_residual"] <= 1e-10
+
+
+def test_extract_hamiltonian_error_does_not_grow_with_t(tmp_path):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = (a + a.conj().T) / 2.0
+    inp = write(tmp_path / "h.json", {"n": 4, "re": h.real.tolist(),
+                                      "im": h.imag.tolist()})
+    errors = []
+    for t in ("1", "1e11"):
+        out = tmp_path / f"ham-{t}.json"
+        assert run(["extract-hamiltonian", "--input", inp, "--output", out,
+                    "--t", t]) == 0
+        errors.append(json.loads(out.read_text())["max_error_vs_input"])
+    assert errors[0] > 0.0
+    assert errors[1] == pytest.approx(errors[0], abs=1e-11)
+
+
 def test_config_overrides_flags(tmp_path):
     inp = write(tmp_path / "law.json", {"law": "free", "x0": 0.0, "v0": 1.0})
     cfg = write(tmp_path / "cfg.json", {"T": 2.0, "dt": 0.5})
@@ -479,6 +525,18 @@ def test_divisibility_needs_t_and_tp_together(tmp_path, capsys, qubit_file,
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["field"] == missing
     assert not (tmp_path / "div.json").exists()
+
+
+def test_divisibility_unstored_pair_names_the_lookup(tmp_path, capsys):
+    inp = tmp_path / "p.json"
+    inp.write_text(PROCESS_OK)
+    out = tmp_path / "div.json"
+    assert run(["divisibility", "--input", inp, "--output", out,
+                "--t", "3", "--tp", "1"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["field"] == "<lookup>"
+    assert error["message"].startswith("no transition stored for (t=3.0")
+    assert not out.exists()
 
 
 def test_malformed_matrix_exits_1(tmp_path, capsys):
@@ -670,14 +728,49 @@ OUT_OF_RANGE_CASES = {
     "extract-hamiltonian-huge-t": ("extract-hamiltonian",
                                    DIAGONAL_HERMITIAN_TEXT % (3.0, -3.0),
                                    ["--t", "1e308"], "--t"),
-    # dt 1e-4 is not above |t| eps: t +- dt round onto t at 1e300, and onto
-    # floats 1.2e-4 apart at 1e12; ||H|| (|t| + dt) is finite at both
-    "extract-hamiltonian-t-swallows-dt": ("extract-hamiltonian",
-                                          DIAGONAL_HERMITIAN_TEXT % (3.0, -3.0),
-                                          ["--t", "1e300"], "--t"),
-    "extract-hamiltonian-t-spacing-near-dt": (
-        "extract-hamiltonian", DIAGONAL_HERMITIAN_TEXT % (3.0, -3.0),
-        ["--t", "1e12"], "--t"),
+    # --all-pairs compares every stored pair: a single pair is refused,
+    # from the command line or from --config
+    "divisibility-all-pairs-t": ("divisibility", PROCESS_OK,
+                                 ["--all-pairs", "--t", "7"], "--t"),
+    "divisibility-all-pairs-config-tp": (
+        "divisibility", PROCESS_OK,
+        ["--config", {"all-pairs": True, "tp": 1.0}], "--tp"),
+    # inputs of the wrong shape, each refused naming the field
+    "config-not-object": ("embed", '{"law": "free"}', ["--config", [1]],
+                          "<config>"),
+    "embed-not-object": ("embed", "[1]", [], "law"),
+    "embed-list-params": ("embed", '{"law": "free", "params": [1]}', [],
+                          "params"),
+    "sh-sim-list-psi0": ("sh-sim", HERMITIAN_2_TEXT[:-1] + ', "psi0": [1, 0]}',
+                         [], "psi0"),
+    "sh-sim-float-n": ("sh-sim", HERMITIAN_2_TEXT.replace('"n": 2', '"n": 2.0'),
+                       [], "<root>.n"),
+    "unistochastic-no-matrix": ("unistochastic", '{"t": 1.0}', [], "matrix"),
+    "unistochastic-empty-matrix": ("unistochastic", '{"matrix": []}', [],
+                                   "matrix"),
+    "unistochastic-flat-matrix": ("unistochastic", '{"matrix": [1.0, 0.0]}',
+                                  [], "matrix[0]"),
+    "dilate-phases-size": ("dilate", '{"matrix": [[0.5, 0.5], [0.5, 0.5]], '
+                           '"phases": [[0.0]]}', [], "phases"),
+    "correspond-not-object": ("correspond", "[1]", [], "<root>"),
+    "correspond-re-im-sizes": ("correspond", '{"re": [[1.0, 0.0], [0.0, 1.0]], '
+                               '"im": [[0.0]]}', [], "<root>"),
+    "divisibility-not-object": ("divisibility", "[1]", [], "<root>"),
+    "divisibility-empty-initial": (
+        "divisibility", PROCESS_OK.replace('"initial": [1.0, 0.0]',
+                                           '"initial": []'),
+        [], "<root>.initial"),
+    **{f"divisibility-{key}-not-list": (
+        "divisibility", json.dumps({**json.loads(PROCESS_OK), key: 0}), [],
+        f"<root>.{key}")
+       for key in ("targets", "conditioning", "transitions")},
+    "divisibility-transition-not-object": (
+        "divisibility", PROCESS_OK.replace('"transitions": [',
+                                           '"transitions": [1, '),
+        [], "<root>.transitions[0]"),
+    "divisibility-transition-off-targets": (
+        "divisibility", PROCESS_OK.replace('"t": 2.0', '"t": 3.0'),
+        [], "<validation>"),
     # every report carries the seed, and the random streams refuse it
     **{f"{command}-negative-seed": (command, text, ["--seed", "-1"], "--seed")
        for command, text in (
@@ -698,6 +791,9 @@ def test_out_of_range_input_exits_1(tmp_path, capsys, case):
     command, text, flags, field = OUT_OF_RANGE_CASES[case]
     inp = tmp_path / "in.json"
     inp.write_text(text)
+    # a flag value that is not a string is a JSON file's content
+    flags = [f if isinstance(f, str) else write(tmp_path / f"flag-{i}.json", f)
+             for i, f in enumerate(flags)]
     out = tmp_path / "report.json"
     code = run([command, "--input", inp, "--output", out, *flags])
     assert code == 1

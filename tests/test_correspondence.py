@@ -104,6 +104,8 @@ def test_potential_moduli_match_gamma():
 def test_potential_column_norms_are_validated():
     with pytest.raises(ValidationError):
         PotentialMatrix(np.ones((2, 2), dtype=complex))
+    with pytest.raises(ValidationError, match=r"phases shape \(3, 3\)"):
+        potential_from_transition(TransitionMatrix(FLAT_2), np.zeros((3, 3)))
 
 
 def test_unistochastic_search_flat_2x2():
@@ -249,6 +251,8 @@ def test_unistochastic_rejects_non_doubly_stochastic():
     result = unistochastic_search(gamma)
     assert result.status == "not_unistochastic"
     assert "doubly" in result.certificate
+    with pytest.raises(ValidationError, match="not doubly stochastic"):
+        orthostochastic_check(gamma)
 
 
 def test_flat_3x3_is_unistochastic_but_not_orthostochastic():
@@ -350,9 +354,15 @@ def test_kraus_set_validates_completeness():
     half[0, 0] = 1.0
     with pytest.raises(ValidationError):
         KrausSet([half, half])
+    with pytest.raises(ValidationError, match="^empty Kraus set$"):
+        KrausSet([])
+    with pytest.raises(ValidationError, match="expected 2 operators for "
+                       "dimension 2, got 1"):
+        KrausSet([np.eye(2)])
     # An operator that is not a matrix is named with its shape.
     for ops, beta, shape in (([1.0], 0, ()), ([[1.0]], 0, (1,)),
-                             ([np.eye(2), [1.0, 0.0]], 1, (2,))):
+                             ([np.eye(2), [1.0, 0.0]], 1, (2,)),
+                             ([np.eye(2), np.eye(3)], 1, (3, 3))):
         with pytest.raises(ValidationError) as err:
             KrausSet(ops)
         assert str(err.value) == f"operator {beta} has shape {shape}"
@@ -512,6 +522,8 @@ def test_density_wrapper_validates():
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
     with pytest.raises(ValidationError):
         DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex))
+    with pytest.raises(ValidationError, match=r"trace \(0\.75\+0j\) is not 1"):
+        DensityMatrix(np.diag([0.5, 0.25]).astype(complex))
 
 
 def test_born_rule_diagonal_consistency():

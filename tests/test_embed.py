@@ -259,6 +259,8 @@ def test_integrator_rejects_bad_grid():
         integrate_embedded(HARMONIC, 1.0, 0.0, -1e-3, 1.0)
     with pytest.raises(ValueError):
         integrate_embedded(HARMONIC, 1.0, 0.0, 1e-3, 0.0)
+    with pytest.raises(ValueError, match="must have equal lengths"):
+        Trajectory(np.zeros(3), np.zeros(3), np.zeros(2))
 
 
 def _sh_integrate(dt, duration):

@@ -5,6 +5,7 @@ from indivisible.errors import ValidationError
 from indivisible.oscillator import (
     HermitianMatrix,
     PhaseSpaceState,
+    PhaseTrajectory,
     SHSystem,
     StateVector,
     _step_matrix,
@@ -81,6 +82,12 @@ def test_system_validates_symmetry():
         SHSystem(a=np.array([[0.0, 1.0], [0.0, 0.0]]), b=np.zeros((2, 2)))
     with pytest.raises(ValidationError):
         SHSystem(a=np.zeros((2, 2)), b=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValidationError, match="equal square shapes"):
+        SHSystem(a=np.zeros((2, 2)), b=np.zeros((3, 3)))
+    with pytest.raises(ValidationError, match="q and p must have equal length"):
+        PhaseSpaceState(q=np.zeros(2), p=np.zeros(3))
+    with pytest.raises(ValidationError, match="agree in sample count"):
+        PhaseTrajectory(times=np.zeros(2), q=np.zeros((3, 2)), p=np.zeros((3, 2)))
 
 
 def test_split_recombine_round_trip():
@@ -242,6 +249,8 @@ def test_unknown_method_rejected():
     state = sh_split(StateVector(np.array([1.0, 0.0], dtype=complex)))
     with pytest.raises(ValueError):
         sh_integrate(system, state, 1e-3, 1.0, method="euler")
+    with pytest.raises(ValueError, match="sample_stride must be >= 1"):
+        sh_integrate(system, state, 1e-3, 1.0, sample_stride=0)
 
 
 def test_energy_drift_stays_tiny():

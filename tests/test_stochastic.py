@@ -41,6 +41,8 @@ def test_distribution_validation():
         Distribution(np.array([0.5, 0.6]))
     with pytest.raises(ValidationError):
         Distribution(np.array([1.5, -0.5]))
+    with pytest.raises(ValidationError, match="^empty distribution$"):
+        Distribution([])
 
 
 def test_distribution_clamps_tiny_negatives():
@@ -266,6 +268,9 @@ def test_markov_compose_rejects_broken_chains():
         markov_compose([g1, g2])
     with pytest.raises(ValidationError):
         markov_compose([])
+    g3 = TransitionMatrix(np.eye(3), t=2.0, t0=1.0)
+    with pytest.raises(ValidationError, match="differ in dimension"):
+        markov_compose([g1, g3])
 
 
 def test_pairwise_joint_marginals():
@@ -307,6 +312,17 @@ def test_process_validates_grids():
         IndivisibleProcess(
             n=2, targets=(0.0, 1.0), conditioning=(0.5,),
             transitions={}, initial=Distribution(np.array([1.0, 0.0])))
+    grid = dict(n=2, targets=(0.0, 1.0), conditioning=(0.0,))
+    one = Distribution(np.array([1.0, 0.0]))
+    with pytest.raises(ValidationError, match=r"has size 3, process has n=2"):
+        IndivisibleProcess(**grid, initial=one, transitions={
+            (1.0, 0.0): TransitionMatrix(np.eye(3), t=1.0)})
+    with pytest.raises(ValidationError, match=r"stamped \(0\.0, 0\.0\)"):
+        IndivisibleProcess(**grid, initial=one, transitions={
+            (1.0, 0.0): TransitionMatrix(np.eye(2), t=0.0)})
+    with pytest.raises(ValidationError, match="initial distribution has size 3"):
+        IndivisibleProcess(**grid, transitions={},
+                           initial=Distribution(np.array([1.0, 0.0, 0.0])))
 
 
 def test_qubit_fixture_is_indivisible():
@@ -360,6 +376,10 @@ def test_check_requires_matching_sizes():
     g2 = TransitionMatrix(np.eye(3), t=2.0, t0=0.0)
     with pytest.raises(ValidationError):
         divisibility_check(g2, g1)
+    p = Distribution(np.array([1.0, 0.0, 0.0]))
+    for apply in (propagate, pairwise_joint):
+        with pytest.raises(ValidationError, match="matrix 2, vector 3"):
+            apply(g1, p)
 
 
 def test_lp_layout_follows_the_definition(monkeypatch):
