@@ -205,7 +205,10 @@ def _cmd_sh_sim(args) -> int:
 
 
 def _source_time(process: stoch.IndivisibleProcess, args) -> float:
-    """--t0, else the earliest conditioning time."""
+    """--t0, else the earliest conditioning time; exits 1 when the process
+    has none."""
+    if args.t0 is None and not process.conditioning:
+        raise InputFormatError("conditioning", "the process has none; give --t0")
     return args.t0 if args.t0 is not None else min(process.conditioning)
 
 
@@ -263,16 +266,10 @@ def _cmd_divisibility(args) -> int:
         gammas = [(process.transition(hi, t0), process.transition(lo, t0))
                   for hi, lo in pairs]
         verdicts = stoch.direct_verdicts(gammas)
-        rest = [k for k, v in enumerate(verdicts) if v is None]
-        if rest:
-            # Deferred: a run settled directly skips this import's peak RSS.
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                for k, v in zip(rest, pool.map(
-                        lambda k: stoch.divisibility_check(*gammas[k]), rest)):
-                    verdicts[k] = v
-        results = [_verdict_payload(v, hi, lo)
-                   for (hi, lo), v in zip(pairs, verdicts)]
+        # The LP decides the pairs the direct route leaves, one after another.
+        results = [_verdict_payload(
+            stoch.divisibility_check(*g) if v is None else v, hi, lo)
+            for (hi, lo), g, v in zip(pairs, gammas, verdicts)]
         _emit(args, {"t0": t0, "pairs": results, "tolerances": tolerances})
         statuses = {r["status"] for r in results}
         _status_line(f"divisibility: {len(results)} pairs, "
@@ -446,9 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=None)
     p.add_argument("--all-pairs", action="store_true")
     p.add_argument("--jobs", type=int, default=1,
-                   help="with --all-pairs: threads, at least 1, for the pairs "
-                   "the LP decides; the rest are settled by stacked array "
-                   "passes in the calling thread")
+                   help="at least 1; checked but changes nothing: --all-pairs "
+                   "decides every pair in the calling thread")
     p.set_defaults(handler=_cmd_divisibility)
 
     p = subs.add_parser("correspond", help="unitary to transition matrix")
@@ -520,12 +516,6 @@ def _apply_config(parser: argparse.ArgumentParser, args) -> None:
                 _config_value(flags[attr], value, f"<config>.{key}"))
 
 
-def _structured_error(field: str, message: str) -> None:
-    sys.stderr.write(ser.canonical_dumps(
-        {"schema": SCHEMA_VERSION,
-         "error": {"field": field, "message": message}}) + "\n")
-
-
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
@@ -534,17 +524,19 @@ def main(argv=None) -> int:
             raise InputFormatError("--seed", f"must be at least 0, got {args.seed}")
         return args.handler(args)
     except InputFormatError as exc:
-        _structured_error(exc.field, exc.reason)
-        return 1
+        field, message = exc.field, exc.reason
     except ValidationError as exc:
-        _structured_error("<validation>", str(exc))
-        return 1
+        field, message = "<validation>", str(exc)
     except IntegrationError as exc:
-        _structured_error("<integration>", str(exc))
-        return 1
+        field, message = "<integration>", str(exc)
     except KeyError as exc:  # str() of a KeyError is its message's repr
-        _structured_error("<lookup>", exc.args[0])
-        return 1
+        field, message = "<lookup>", exc.args[0]
+    except OSError as exc:  # load_json reports reads, so this is a write
+        field, message = "<file>", f"cannot write: {exc}"
+    sys.stderr.write(ser.canonical_dumps(
+        {"schema": SCHEMA_VERSION,
+         "error": {"field": field, "message": message}}) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

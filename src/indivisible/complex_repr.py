@@ -121,8 +121,6 @@ def entrywise_mul(a: Mat2C, b: Mat2C) -> Mat2C:
 # Pseudo-quaternion units
 # ---------------------------------------------------------------------------
 
-_PQ_TAGS = ("one", "i", "K", "iK")
-
 _PQ_RENDER = {
     "one": ONE,
     "i": IMAG,
@@ -152,7 +150,7 @@ class PseudoQuaternionElement:
     sign: int = 1
 
     def __post_init__(self):
-        if self.tag not in _PQ_TAGS:
+        if self.tag not in _PQ_RENDER:
             raise ValueError(f"unknown pseudo-quaternion tag {self.tag!r}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")

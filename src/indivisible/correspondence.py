@@ -33,7 +33,7 @@ from .errors import (NotRankOneError, SquareMatrix, UnsupportedSizeError,
                      ValidationError, ValueType, completeness_deviation,
                      freeze, require_hermitian, square_matrix)
 from .oscillator import HERMITICITY_TOL, HermitianMatrix, StateVector
-from .stochastic import Distribution, TransitionMatrix
+from .stochastic import SUM_TOL, Distribution, TransitionMatrix
 
 UNITARITY_TOL = 1e-10
 COLUMN_NORM_TOL = 1e-12
@@ -158,7 +158,15 @@ class DensityMatrix(SquareMatrix):
 def quantum_to_stochastic(u: UnitaryMatrix) -> TransitionMatrix:
     """Gamma_ij = |U_ij|^2, stamped like U.  Unitarity makes it doubly stochastic."""
     gamma = np.abs(u.matrix) ** 2
-    return TransitionMatrix(gamma, t=u.t, t0=u.t0)
+    try:
+        return TransitionMatrix(gamma, t=u.t, t0=u.t0)
+    except ValidationError:  # U's column norms passed UNITARITY_TOL, not SUM_TOL
+        dev = float(np.max(np.abs(gamma.sum(axis=0) - 1.0)))
+        raise ValidationError(
+            f"|U|^2 has a column-sum deviation of {dev:.3e}, above SUM_TOL "
+            f"{SUM_TOL:.0e}, though U passed the unitarity gate "
+            f"(max |U^dag U - 1| = {u.deviation:.3e} <= {UNITARITY_TOL:.0e})",
+            column_sum_deviation=dev) from None
 
 
 def potential_from_transition(gamma: TransitionMatrix,
@@ -291,19 +299,13 @@ def _phase_descent(r: np.ndarray, phases: np.ndarray,
         # paying off and take the best of the sweep.  Accepting the first
         # improvement instead makes the iterate hop across narrow valleys
         # (each hop barely shorter than the last) and convergence dies.
-        best = None
-        best_s = trial
-        s = trial
+        best, s = None, trial
         while s >= 1e-16:
             cand_phases = phases - s * grad
             cand = evaluate(cand_phases)
-            reference = f if best is None else best[3]
-            if cand[2] < reference:
-                best = (cand_phases, cand[0], cand[1], cand[2])
-                best_s = s
-                s *= 0.5
-                continue
-            if best is not None:
+            if cand[2] < (f if best is None else best[3]):
+                best, best_s = (cand_phases, *cand), s
+            elif best is not None:
                 break
             s *= 0.5
         if best is None:

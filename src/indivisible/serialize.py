@@ -147,11 +147,11 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Any) -> None:
 def load_json(path: str | Path) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError("<file>", f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
+    except (ValueError, RecursionError) as exc:  # malformed, overlong int, too deep
         raise InputFormatError("<file>", f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -281,6 +281,9 @@ def parse_process(obj: Any, field: str = "<root>") -> IndivisibleProcess:
                 raise InputFormatError(f"{where}.{key}", "missing")
         t = _expect_number(entry["t"], f"{where}.t")
         t0 = _expect_number(entry["t0"], f"{where}.t0")
+        if (t, t0) in transitions:  # would replace the earlier entry
+            raise InputFormatError(where, f"repeats the (t, t0) of transitions"
+                                   f"[{list(transitions).index((t, t0))}]")
         matrix = parse_real_matrix(entry["matrix"], f"{where}.matrix", n)
         transitions[(t, t0)] = TransitionMatrix(matrix, t=t, t0=t0)
     initial = Distribution(parse_vector(obj["initial"], f"{field}.initial", n))

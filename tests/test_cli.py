@@ -217,20 +217,19 @@ def test_all_pairs_equals_each_single_pair_under_any_jobs(tmp_path):
 
 
 def test_all_pairs_settled_directly_build_no_pool(tmp_path, monkeypatch):
-    import concurrent.futures
+    import threading
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was built")
+    def no_thread(self):
+        raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     rng = np.random.default_rng(32)
     inp = _process_file(tmp_path / "chain.json", _chain(6, 6, rng))
     assert _all_pairs_bytes(tmp_path, inp, 2)
-    # The patch is in force: a pair the LP must decide does reach it.
+    # A pair the LP must decide is decided in the calling thread as well.
     g1 = rng.dirichlet(np.ones(4), size=4).T
     inp = _process_file(tmp_path / "singular.json", [SINGULAR_4, g1 @ SINGULAR_4])
-    with pytest.raises(AssertionError, match="thread pool"):
-        _all_pairs_bytes(tmp_path, inp, 2)
+    assert _all_pairs_bytes(tmp_path, inp, 2) == _all_pairs_bytes(tmp_path, inp, 1)
 
 
 def test_all_pairs_settled_directly_do_not_import_the_pool(tmp_path):
@@ -250,7 +249,7 @@ def test_all_pairs_settled_directly_do_not_import_the_pool(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
-def test_singular_pair_reaches_the_lp_through_the_pool(tmp_path, monkeypatch):
+def test_singular_pair_reaches_the_lp_in_the_calling_thread(tmp_path, monkeypatch):
     rng = np.random.default_rng(34)
     g1 = rng.dirichlet(np.ones(4), size=4).T
     step = rng.dirichlet(np.ones(4), size=4).T
@@ -302,6 +301,22 @@ def test_divisibility_indeterminate_exits_2(tmp_path, qubit_file, monkeypatch):
     code = run(["divisibility", "--input", qubit_file,
                 "--output", tmp_path / "div.json"])
     assert code == 2
+
+
+def test_correspond_names_the_column_sum_gate(tmp_path, capsys):
+    """A Haar U scaled by 1 + 2e-11 passes UNITARITY_TOL but not SUM_TOL."""
+    q, r = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 6)).view(complex))
+    u = q * (np.diag(r) / np.abs(np.diag(r))) * (1 + 2e-11)
+    assert 1e-12 < corr.UnitaryMatrix(u).deviation <= corr.UNITARITY_TOL
+    inp = write(tmp_path / "u.json", {"re": u.real, "im": u.imag})
+    out = tmp_path / "corr.json"
+    assert run(["correspond", "--input", inp, "--output", out]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["field"] == "<validation>"
+    assert err["message"].startswith("|U|^2 has a column-sum deviation of 4.0")
+    assert "above SUM_TOL 1e-12" in err["message"]
+    assert "passed the unitarity gate" in err["message"]
+    assert not out.exists()
 
 
 def test_correspond_identity(tmp_path):
@@ -575,6 +590,8 @@ def test_non_finite_input_exits_1(tmp_path, capsys, case):
 
 
 PROCESS_OK = PROCESS_TEXT % ("[[1.0, 0.0], [0.0, 1.0]]", "[1.0, 0.0]")
+NO_CONDITIONING = ('{"n": 2, "targets": [0.0], "conditioning": [], '
+                   '"transitions": [], "initial": [1.0, 0.0]}')
 ONE_TRANSITION = ('{"n": 2, "targets": [0.0, 1.0], "conditioning": [0.0], '
                   '"transitions": [{"t": 1.0, "t0": 0.0, '
                   '"matrix": [[1.0, 0.0], [0.0, 1.0]]}], "initial": [1.0, 0.0]}')
@@ -771,6 +788,30 @@ OUT_OF_RANGE_CASES = {
     "divisibility-transition-off-targets": (
         "divisibility", PROCESS_OK.replace('"t": 2.0', '"t": 3.0'),
         [], "<validation>"),
+    # files the command cannot read or write
+    "embed-not-utf8": ("embed", b'{"law": "caf\xe9"}', [], "<file>"),
+    "embed-config-not-utf8": ("embed", '{"law": "free"}',
+                              ["--config", b'{"method": "caf\xe9"}'], "<file>"),
+    "correspond-deep-nesting": ("correspond", "[" * 100_000 + "]" * 100_000,
+                                [], "<file>"),
+    "divisibility-output-missing-dir": (
+        "divisibility", PROCESS_OK, ["--output", "<tmp>/missing/report.json"],
+        "<file>"),
+    "embed-csv-missing-dir": ("embed", '{"law": "free"}',
+                              ["--T", "0.01", "--csv", "<tmp>/missing/x.csv"],
+                              "<file>"),
+    # no conditioning time to default t0 to, in each of the three modes
+    "divisibility-no-conditioning": ("divisibility", NO_CONDITIONING, [],
+                                     "conditioning"),
+    "divisibility-pair-no-conditioning": (
+        "divisibility", NO_CONDITIONING, ["--t", "1", "--tp", "0"],
+        "conditioning"),
+    "divisibility-all-pairs-no-conditioning": (
+        "divisibility", NO_CONDITIONING, ["--all-pairs"], "conditioning"),
+    # a second entry with the same stamps would replace the first
+    "divisibility-duplicate-transition": (
+        "divisibility", PROCESS_OK.replace('"t": 2.0', '"t": 1.0'), [],
+        "<root>.transitions[1]"),
     # every report carries the seed, and the random streams refuse it
     **{f"{command}-negative-seed": (command, text, ["--seed", "-1"], "--seed")
        for command, text in (
@@ -785,14 +826,23 @@ OUT_OF_RANGE_CASES = {
 }
 
 
+def _content_file(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+        return str(path)
+    return write(path, content)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_CASES))
 def test_out_of_range_input_exits_1(tmp_path, capsys, case):
     command, text, flags, field = OUT_OF_RANGE_CASES[case]
     inp = tmp_path / "in.json"
-    inp.write_text(text)
-    # a flag value that is not a string is a JSON file's content
-    flags = [f if isinstance(f, str) else write(tmp_path / f"flag-{i}.json", f)
+    inp.write_bytes(text if isinstance(text, bytes) else text.encode())
+    # <tmp> in a flag is this test's directory; a flag value that is not a
+    # string is a file's content, raw bytes or a JSON value
+    flags = [f.replace("<tmp>", str(tmp_path)) if isinstance(f, str)
+             else _content_file(tmp_path / f"flag-{i}.json", f)
              for i, f in enumerate(flags)]
     out = tmp_path / "report.json"
     code = run([command, "--input", inp, "--output", out, *flags])
@@ -801,6 +851,16 @@ def test_out_of_range_input_exits_1(tmp_path, capsys, case):
     assert err["error"]["field"] == field
     assert not out.exists()
     assert not out.with_suffix(".csv").exists()
+
+
+def test_unwritable_report_names_the_path_and_the_reason(tmp_path, capsys):
+    inp = write(tmp_path / "law.json", {"law": "free"})
+    out = tmp_path / "missing" / "report.json"
+    assert run(["embed", "--input", inp, "--output", out, "--T", "0.01",
+                "--csv", tmp_path / "x.csv"]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["field"] == "<file>"
+    assert str(out) in err["message"] and "No such file" in err["message"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -235,6 +235,19 @@ def test_load_json_reports_problems(tmp_path):
         load_json(bad)
 
 
+def test_load_json_names_the_path_and_the_reason(tmp_path):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"law": "caf\xe9"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path, reason in ((latin, "can't decode byte 0xe9"),
+                         (deep, "maximum recursion depth")):
+        with pytest.raises(InputFormatError) as err:
+            load_json(path)
+        assert err.value.field == "<file>"
+        assert str(path) in err.value.reason and reason in err.value.reason
+
+
 def test_parse_real_matrix_errors_carry_dotted_paths():
     with pytest.raises(InputFormatError) as err:
         parse_real_matrix([[1.0, "x"]], "matrix")
@@ -303,3 +316,10 @@ def test_parse_process_full_round_trip():
     with pytest.raises(InputFormatError) as err:
         parse_process(broken)
     assert err.value.field == "<root>.transitions[0].t0"
+    repeated = dict(payload)
+    repeated["transitions"] = payload["transitions"] + [
+        {"t": 1.0, "t0": 0.0, "matrix": [[0.0, 1.0], [1.0, 0.0]]}]
+    with pytest.raises(InputFormatError) as err:
+        parse_process(repeated)
+    assert err.value.field == "<root>.transitions[1]"
+    assert err.value.reason == "repeats the (t, t0) of transitions[0]"
