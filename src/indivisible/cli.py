@@ -122,8 +122,16 @@ def _cmd_embed(args) -> int:
     x0 = ser._expect_number(spec.get("x0", 1.0), "x0")
     v0 = ser._expect_number(spec.get("v0", 0.0), "v0")
     traj = emb.integrate_embedded(ode, x0, v0, args.dt, args.duration)
+    # A finite state can still be too large to square: only the two reported
+    # energies are computed, and one past the float range is refused.
+    ends = [0, len(traj) - 1]
+    with np.errstate(over="ignore"):
+        energy = 0.5 * (traj.x[ends] ** 2 + traj.y[ends] ** 2)
+    for step, value in zip(ends, energy):
+        if not math.isfinite(value):
+            raise IntegrationError(
+                f"embedded energy became non-finite by step {step}", step=step)
     invariant, violation = emb.check_time_reversal_invariance(ode, args.seed)
-    energy = 0.5 * (traj.x ** 2 + traj.y ** 2)
     ser.write_csv(_csv_path(args), ["t", "x", "y"],
                   np.column_stack([traj.times, traj.x, traj.y]))
     _emit(args, {
@@ -133,7 +141,7 @@ def _cmd_embed(args) -> int:
         "samples": len(traj),
         "final": {"t": float(traj.times[-1]), "x": float(traj.x[-1]),
                   "y": float(traj.y[-1])},
-        "embedded_energy": {"first": float(energy[0]), "last": float(energy[-1])},
+        "embedded_energy": {"first": float(energy[0]), "last": float(energy[1])},
         "time_reversal": {"invariant": invariant, "max_violation": violation,
                           "tolerance": emb.INVARIANCE_TOL},
     })

@@ -8,13 +8,15 @@ strings go through ``json.encoder.encode_basestring_ascii``, the encoder
 ``json.dumps`` uses for a string under its default settings, so they have
 its bytes.
 
-Floats are formatted in bulk.  A finite, non-empty 1-D or 2-D float64 array
-is one ``%`` against a template for the whole array: each exact zero is the
-literal ``0`` (``-0`` when its sign bit is set) and every other entry a
-``%.17g`` field.  Rows that share a zero pattern share their template text,
-which is joined once per pattern: a dilation's N^2 rows follow about N
-patterns.  The whole body of a CSV is one ``%`` as well.  Both give the
-bytes of formatting each float on its own.
+Floats are formatted in bulk, with the bytes of formatting each float on its
+own.  A finite, non-empty 1-D or 2-D float64 array in a report is one ``%``
+against a template for the whole array: each exact zero is the literal ``0``
+(``-0`` when its sign bit is set) and every other entry a ``%.17g`` field.
+Rows that share a zero pattern share their template text, which is joined
+once per pattern: a dilation's N^2 rows follow about N patterns.  A CSV body
+of fewer than ``CSV_KERNEL_MIN_VALUES`` values is one ``%`` as well; a larger
+one is written by ``_csv_fields``, which finds the 17 digits of each value
+with exact float64 arithmetic and assembles the text in numpy arrays.
 
 Parsing raises InputFormatError with the dotted path of the offending field,
 so callers can report exactly what is wrong with a file.
@@ -123,21 +125,170 @@ def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(canonical_dumps(obj) + "\n", encoding="utf-8")
 
 
+# Below this many values a CSV body is one % template: the kernel costs about
+# 100 us a call before its first value, a template about 0.45 us a value, and
+# they break even at about 300 values (x86-64, python 3.11, numpy 2.4).
+# Chunks of a few thousand values keep the kernel's temporaries in cache.
+CSV_KERNEL_MIN_VALUES = 512
+CSV_CHUNK_VALUES = 2048
+
+# 10**s for s = 0..22, every one exact in float64, and Veltkamp's split of
+# each into 26-bit halves (hi + lo == 10**s exactly).
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
+_SPLITTER = 134217729.0  # 2**27 + 1
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# The ASCII digits of 0000..9999 as little-endian words, first digit lowest.
+_QUADS = np.arange(10, dtype=np.uint8) + ord("0")
+_QUADS = np.stack(np.meshgrid(*[_QUADS] * 4, indexing="ij"), axis=-1).reshape(
+    -1, 4).view("<u4").ravel().astype(np.uint64)
+
+
+def _word(text: bytes) -> int:
+    """``text`` as the value of a little-endian word: its first byte lowest."""
+    return int.from_bytes(text, "little")
+
+
+_ASCII_ZEROS = np.uint64(_word(b"0" * 8))
+# The k low bytes of a 16-byte (lo, hi) pair of words, k = 0..16.
+_LOW_BYTES = [np.array([(1 << 8 * min(max(k - base, 0), 8)) - 1
+                        for k in range(17)], np.uint64) for base in (0, 8)]
+# "." at byte p of a (lo, hi) pair, p = 0..15; p = 16 gives no point.
+_POINT_WORDS = [np.array([_word(b"\0" * (p - base) + b".") if base <= p < base + 8
+                          else 0 for p in range(17)], np.uint64) for base in (0, 8)]
+# Tables indexed by the decimal exponent e plus 6, e = -6..16:
+# _POINT_AT, how many of the 16 digits after the first precede the point;
+# _NO_POINT, e = -4..-1, whose digits all follow a "0.0..." lead instead;
+# _LEADING, a value's first word: a sign byte (NUL, or "-" from index 23 on)
+# and that lead; _EXPONENT_SUFFIX, "e-05" or "e-06" at bytes 2..5 of its last.
+_EXPONENTS = range(-6, 17)
+_POINT_AT = np.array([max(e, 0) for e in _EXPONENTS])
+_NO_POINT = np.array([-4 <= e < 0 for e in _EXPONENTS])
+_LEADING = np.array([_word(b"\0" + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b""))
+                     for e in _EXPONENTS], np.uint64)
+_LEADING = np.r_[_LEADING, _LEADING | np.uint64(ord("-"))]
+_EXPONENT_SUFFIX = np.array([_word(b"\0\0e-0%d" % -e) if e < -4 else 0
+                             for e in _EXPONENTS], np.uint64)
+# Separators in the top byte of the last word.
+_COMMA, _NEWLINE = (np.uint64(ord(c) << 56) for c in ",\n")
+_8, _16, _32, _48, _56 = (np.uint64(b) for b in (8, 16, 32, 48, 56))
+
+
+def _scaled(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi + lo == a * 10**s exactly, hi the rounded product (Dekker's
+    TwoProduct with Veltkamp's split; no product here over- or underflows)."""
+    hi = a * _POW10[s]
+    c = a * _SPLITTER
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[s], _POW10_LO[s]
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _csv_fields(values: np.ndarray, ends: np.ndarray) -> bytes:
+    """``%.17g`` of each finite float in ``values``, each followed by the
+    separator that ``ends`` holds in its top byte.
+
+    For 1e-6 < |x| < 1e17 the decimal exponent e lies in -6..16, so with
+    s = 16 - e the power 10**s is exact and the product P = |x| * 10**s is
+    exactly hi + lo.  P in [1e16, 1e17) checks e (log10 may miss it by one
+    at a power of ten; those values are scaled again), and then hi >= 2**53
+    is an even integer, so N = hi + rint(lo) is P rounded half to even: the
+    17 significant digits that ``%.17g`` prints.  N never rounds up to 10**17:
+    below each power of ten the nearest double in range leaves P at least 8
+    units short of it (1e-5 and 1e-4; 11 where the power is a double).
+    The text follows C's ``%g``: fixed notation for e in -4..16, else
+    ``d.ddde-0X``, with trailing zeros and a bare point dropped.
+
+    Each value is built in four little-endian words: the sign and any "0.00"
+    lead, then the first digit, the point and the other 16 digits, then an
+    exponent and the separator.  Unused bytes are NUL, and one
+    ``bytes.translate`` drops them all (twice as fast as ``np.compress``).
+    Zeros print as ``0`` or ``-0``; a value outside the range above is
+    formatted on its own and its text put in its words.
+    """
+    n = len(values)
+    a = np.abs(values)
+    fast = (a > 1e-6) & (a < 1e17)
+    zero = a == 0.0
+    a = np.where(fast, a, 1.0)  # zeros and the rest print from 1.0, then amended
+    s = 16 - np.clip(np.floor(np.log10(a)).astype(np.intp), -6, 16)
+    hi, lo = _scaled(a, s)
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    redo = np.flatnonzero(below | above)
+    if len(redo):
+        s[redo] += below[redo].astype(np.intp) - above[redo]
+        hi[redo], lo[redo] = _scaled(a[redo], s[redo])
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    e6 = 22 - s  # the decimal exponent plus 6
+    first = digits // 10 ** 16
+    rest = digits - first * 10 ** 16
+    high8 = rest // 10 ** 8
+    low8 = rest - high8 * 10 ** 8
+    # The 16 digits after the first: bytes 0..7 of lo, 8..15 of hi.
+    lo_w = _QUADS[high8 // 10000] | _QUADS[high8 % 10000] << _32
+    hi_w = _QUADS[low8 // 10000] | _QUADS[low8 % 10000] << _32
+    # The last digit that is not 0 is the top nonzero byte of the digits
+    # less "0"s, read off a float's exponent (-1 when all are 0); no byte
+    # exceeds 9, so rounding to float never reaches the next byte.
+    f = (hi_w ^ _ASCII_ZEROS).astype(np.float64) * 2.0 ** 64 + (
+        lo_w ^ _ASCII_ZEROS).astype(np.float64)
+    last = np.maximum((f.view(np.int64) >> 52) - 1023, -8) >> 3
+    point = _POINT_AT[e6]
+    keep = np.maximum(last + 1, point)
+    lo_w &= _LOW_BYTES[0][keep]
+    hi_w &= _LOW_BYTES[1][keep]
+    # Digits before the point stay, a point goes after them, and the digits
+    # after it move up one byte.
+    lo_l, hi_l = lo_w & _LOW_BYTES[0][point], hi_w & _LOW_BYTES[1][point]
+    lo_r, hi_r = lo_w ^ lo_l, hi_w ^ hi_l
+    dot = np.where((keep > point) & ~_NO_POINT[e6], point, 16)
+    lo_l |= _POINT_WORDS[0][dot]
+    hi_l |= _POINT_WORDS[1][dot]
+    out = np.empty((n, 4), "<u8")
+    out[:, 0] = _LEADING[e6 + 23 * np.signbit(values)]
+    out[:, 1] = ((first + ord("0") - zero).astype(np.uint64)
+                 | lo_l << _8 | lo_r << _16)
+    out[:, 2] = hi_l << _8 | lo_l >> _56 | hi_r << _16 | lo_r >> _48
+    out[:, 3] = hi_l >> _56 | hi_r >> _48 | _EXPONENT_SUFFIX[e6] | ends
+    other = np.flatnonzero(~(fast | zero))
+    if len(other):
+        seps = (ends[other] >> _56).astype(np.uint8).tobytes().decode()
+        texts = [format_float(v) + c for v, c in zip(values[other].tolist(), seps)]
+        out[other] = np.array(texts, "S32").view("<u8").reshape(-1, 4)
+    return out.tobytes().translate(None, b"\0")
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Any) -> None:
     """Plain numeric CSV of the 2-D array ``rows``; no rows leaves just the
-    header line.  The body is formatted with one ``%`` per chunk of rows."""
+    header line.
+
+    A body of fewer than ``CSV_KERNEL_MIN_VALUES`` values is one ``%``
+    against a template; a larger one goes through ``_csv_fields`` a few
+    thousand values at a time, which bounds its temporaries in memory.
+    Both write the bytes of ``%.17g`` on each value, a comma between the
+    values of a row and a newline after each row.
+    """
     table = np.asarray(rows, dtype=float)
     finite = np.isfinite(table)
     if not finite.all():
         format_float(float(table[~finite][0]))  # raises, naming the value
-    with Path(path).open("w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        if len(table):  # a zero-row table arrives 1-D, without a shape[1]
-            line = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
-            # Chunks bound the formatted text and its argument tuple in memory.
-            for start in range(0, len(table), 1 << 14):
-                chunk = table[start:start + (1 << 14)]
-                f.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+    with Path(path).open("wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        if table.size < CSV_KERNEL_MIN_VALUES:
+            if len(table):  # a zero-row table arrives 1-D, without a shape[1]
+                line = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
+                f.write(((line * len(table)) % tuple(table.ravel().tolist())).encode())
+            return
+        width = table.shape[1]
+        step = max(1, CSV_CHUNK_VALUES // width)
+        ends = np.full(width, _COMMA)
+        ends[-1] = _NEWLINE
+        ends = np.tile(ends, step)
+        for start in range(0, len(table), step):
+            values = table[start:start + step].ravel()
+            f.write(_csv_fields(values, ends[:len(values)]))
 
 
 # ---------------------------------------------------------------------------

@@ -604,6 +604,9 @@ DIAGONAL_HERMITIAN_TEXT = ('{"n": 2, "re": [[%r, 0.0], [0.0, %r]], '
                            '"im": [[0.0, 0.0], [0.0, 0.0]]}')
 HUGE_MATRIX = "[[1e308, 1e308], [1e308, 1e308]]"
 HUGE_MATRIX_TEXT = '{"matrix": %s}' % HUGE_MATRIX
+# x grows from 0.5e154 to 1.5e154 at v 1e154: 0.5 (x^2 + v^2) leaves the
+# float range between the first sample and the last
+HUGE_FINAL_ENERGY_TEXT = '{"law": "free", "x0": 0.5e154, "v0": 1e154}'
 OUT_OF_RANGE_CASES = {
     "sh-sim-stride": ("sh-sim", HERMITIAN_2_TEXT, ["--stride", "0"], "--stride"),
     "sh-sim-dt": ("sh-sim", HERMITIAN_2_TEXT, ["--dt", "0"], "--dt"),
@@ -681,6 +684,13 @@ OUT_OF_RANGE_CASES = {
     # a law that overflows a float ** mid-integration
     "embed-overflow": ("embed", '{"law": "cubic", "x0": 1e200}', ["--T", "0.01"],
                        "<integration>"),
+    # finite states whose embedded energy overflows
+    "embed-huge-energy": ("embed", '{"law": "free", "x0": 1e200}', ["--T", "0.01"],
+                          "<integration>"),
+    "embed-huge-harmonic-energy": ("embed", '{"law": "harmonic", "x0": 1e160, '
+                                   '"v0": 1e160}', ["--T", "0.01"], "<integration>"),
+    "embed-huge-final-energy": ("embed", HUGE_FINAL_ENERGY_TEXT,
+                                ["--T", "1", "--dt", "0.1"], "<integration>"),
     # a finite trajectory whose law overflows on the time-reversal probe box
     "embed-probe-overflow": ("embed", '{"law": "damped", "params": '
                              '{"k": 1e308, "c": 1e308}, "x0": 0, "v0": 0}',
@@ -861,6 +871,19 @@ def test_unwritable_report_names_the_path_and_the_reason(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["field"] == "<file>"
     assert str(out) in err["message"] and "No such file" in err["message"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_embed_energy_overflow_names_the_sample(tmp_path, capsys):
+    """Only the first and last energies are reported, so only they are
+    squared; here the first is finite and the last is not."""
+    inp = tmp_path / "in.json"
+    inp.write_text(HUGE_FINAL_ENERGY_TEXT)
+    assert run(["embed", "--input", inp, "--output", tmp_path / "out.json",
+                "--T", "1", "--dt", "0.1"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "field": "<integration>",
+        "message": "embedded energy became non-finite by step 10"}
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,6 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from indivisible.errors import InputFormatError
 from indivisible.serialize import (
+    CSV_CHUNK_VALUES,
+    CSV_KERNEL_MIN_VALUES,
     canonical_dumps,
     complex_matrix_payload,
     format_float,
@@ -127,12 +129,115 @@ def test_write_csv_matches_per_element_reference(tmp_path, table, as_lists):
 
 
 def test_write_csv_across_chunks_matches_per_element_reference(tmp_path):
-    """Two full chunks of 2**14 rows and a partial third, all one text."""
+    """A long table, through many kernel chunks and a partial last one."""
     rng = np.random.default_rng(14)
     table = rng.normal(size=(2 * (1 << 14) + 3, 3))
     path = tmp_path / "long.csv"
     write_csv(path, ["t", "x", "y"], table)
     assert path.read_text() == reference_csv(["t", "x", "y"], table)
+
+
+@st.composite
+def _kernel_tables(draw):
+    """A table of at least CSV_KERNEL_MIN_VALUES values, so that write_csv
+    takes the kernel, over one to three chunks: random 64-bit patterns
+    (non-finite ones replaced), random digits at decimal exponents around the
+    fixed range, or both, with up to 40 values drawn from FINITE put in."""
+    width = draw(st.integers(min_value=1, max_value=9))
+    size = draw(st.integers(min_value=CSV_KERNEL_MIN_VALUES,
+                            max_value=2 * CSV_CHUNK_VALUES + 3 * width))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    size -= size % width
+    bits = rng.integers(0, 2 ** 64, size=size, dtype=np.uint64).view(np.float64)
+    bits = np.where(np.isfinite(bits), bits, 0.5)
+    scaled = rng.uniform(-10, 10, size) * 10.0 ** rng.integers(-8, 19, size)
+    table = draw(st.sampled_from([bits, scaled, np.where(rng.random(size) < 0.5,
+                                                         bits, scaled)]))
+    for value in draw(st.lists(FINITE, max_size=40)):
+        table[draw(st.integers(min_value=0, max_value=size - 1))] = value
+    return table.reshape(-1, width)
+
+
+def _assert_csv_as_reference(tmp_path, table):
+    path = tmp_path / "k.csv"
+    header = [f"c{j}" for j in range(table.shape[1])]
+    write_csv(path, header, table)
+    assert path.read_bytes() == reference_csv(header, table).encode()
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          deadline=None)
+@given(_kernel_tables())
+def test_write_csv_kernel_matches_per_element_reference(tmp_path, table):
+    _assert_csv_as_reference(tmp_path, table)
+
+
+def _ties():
+    """Dyadic q / 2**(s + 1), q odd, whose exact decimal expansion has 18
+    significant digits ending in 5: %.17g must round each half to even.  The
+    first q of each scale and the next two odd ones alternate the parity of
+    the 17-digit neighbours."""
+    from fractions import Fraction
+    ties = []
+    for s in range(1, 23):
+        q = math.ceil(10 ** (16 - s) * 2 ** (s + 1)) | 1
+        for odd in (q, q + 2, q + 4):
+            x = odd / 2 ** (s + 1)
+            assert Fraction(x) * 10 ** s % 1 == Fraction(1, 2)
+            ties.append(x)
+    return ties
+
+
+def _kernel_edges():
+    edges = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, 1.0, 0.5, 0.1, 9.5, 99.5, 1e-7, 1e18]
+    for k in range(-7, 19):  # each side of every power of ten, 1e-6 and 1e17 too
+        p = float(f"1e{k}")
+        edges += [np.nextafter(p, 0.0), p, np.nextafter(p, math.inf)]
+    for k in range(53, 58):
+        p = 2.0 ** k
+        edges += [np.nextafter(p, 0.0), p, np.nextafter(p, math.inf)]
+    ties = _ties()
+    edges += ties + [np.nextafter(x, math.inf) for x in ties]
+    return np.array(edges + [-x for x in edges])
+
+
+@pytest.mark.parametrize("width", [1, 3, 7])
+def test_write_csv_kernel_edge_values(tmp_path, width):
+    """Signed zeros, subnormals, the extremes, neighbours of the powers of ten
+    that bound the kernel's range and of the powers of two around 2**53, and
+    exact decimal ties, each at every column."""
+    edges = _kernel_edges()
+    table = np.concatenate([np.roll(edges, j) for j in range(width)])
+    reps = -(-CSV_KERNEL_MIN_VALUES // len(table))
+    table = np.tile(table, reps)
+    _assert_csv_as_reference(tmp_path, table[:len(table) - len(table) % width]
+                             .reshape(-1, width))
+
+
+@pytest.mark.parametrize("width", [1, 3, 7])
+def test_write_csv_kernel_values_out_of_range_at_chunk_boundaries(tmp_path, width):
+    """Values formatted on their own, and zeros, at the first and last place
+    of each chunk, in a last chunk of one row."""
+    rows = CSV_CHUNK_VALUES // width
+    table = np.random.default_rng(width).normal(size=(2 * rows + 1, width))
+    for at in (rows - 1, rows, 2 * rows - 1, 2 * rows):
+        table[at, 0], table[at, -1] = -1e-300, 2.5e17
+    table[rows - 2, -1], table[rows + 1, 0] = -0.0, 0.0
+    _assert_csv_as_reference(tmp_path, table)
+
+
+def test_write_csv_keeps_small_tables_on_the_template(tmp_path, monkeypatch):
+    """Below CSV_KERNEL_MIN_VALUES the kernel is not called; from it on it is."""
+    import indivisible.serialize as ser
+    calls = []
+    kernel = ser._csv_fields
+    monkeypatch.setattr(ser, "_csv_fields",
+                        lambda values, ends: calls.append(len(values))
+                        or kernel(values, ends))
+    for size in (CSV_KERNEL_MIN_VALUES - 1, CSV_KERNEL_MIN_VALUES):
+        _assert_csv_as_reference(tmp_path, np.linspace(0.1, 1.0, size)[:, None])
+    assert calls == [CSV_KERNEL_MIN_VALUES]
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
