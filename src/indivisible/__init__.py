@@ -92,8 +92,6 @@ from .stochastic import (
     TransitionMatrix,
     divisibility_check,
     markov_compose,
-    pairwise_joint,
-    propagate,
 )
 
 __version__ = "0.1.0"

@@ -271,13 +271,11 @@ def _cmd_divisibility(args) -> int:
                                    "not taken with --all-pairs")
         t0, stamps = _stamps(process, args)
         pairs = [(hi, lo) for i, hi in enumerate(stamps) for lo in stamps[:i]]
-        gammas = [(process.transition(hi, t0), process.transition(lo, t0))
-                  for hi, lo in pairs]
-        verdicts = stoch.direct_verdicts(gammas)
-        # The LP decides the pairs the direct route leaves, one after another.
-        results = [_verdict_payload(
-            stoch.divisibility_check(*g) if v is None else v, hi, lo)
-            for (hi, lo), g, v in zip(pairs, gammas, verdicts)]
+        verdicts = stoch.divisibility_verdicts(
+            [(process.transition(hi, t0), process.transition(lo, t0))
+             for hi, lo in pairs])
+        results = [_verdict_payload(v, hi, lo)
+                   for (hi, lo), v in zip(pairs, verdicts)]
         _emit(args, {"t0": t0, "pairs": results, "tolerances": tolerances})
         statuses = {r["status"] for r in results}
         _status_line(f"divisibility: {len(results)} pairs, "
@@ -378,6 +376,10 @@ def _cmd_dilate(args) -> int:
 def _cmd_extract_hamiltonian(args) -> int:
     _require_finite("--t", args.t)
     _require_positive("--dt", args.dt)
+    if args.dt < sys.float_info.min:
+        # Below the smallest normal float, the quotient's 1 / (2 dt) can overflow.
+        raise InputFormatError("--dt", f"must be a normal float (at least "
+                               f"{sys.float_info.min!r}), got {args.dt!r}")
     h = ser.parse_hermitian(ser.load_json(args.input))
     w, v = np.linalg.eigh(h.matrix)
     # The quotient is V diag(sin(w dt) / dt) V^dag: one-to-one below pi/2.

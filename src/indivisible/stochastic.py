@@ -7,14 +7,14 @@ there need not exist any column-stochastic M with
 
     M @ Gamma(t'<-t0) = Gamma(t<-t0)
 
-even when both endpoints are perfectly lawful.  ``divisibility_check`` decides
-that question directly from the unique candidate M = Gamma(t) Gamma(t')^-1
-when Gamma(t') is invertible, and otherwise as a linear feasibility problem
-over the entries of M.  ``direct_verdicts`` is that direct route for many
-pairs at once: array passes over the whole stack (one solve, the margins,
-the row rebuild, the witness gate and residuals) decide every pair it can,
-with the bits each would get alone, and mark the rest (None) for the LP.
-Only the certificate text and the wrapping of each witness stay per pair.
+even when both endpoints are perfectly lawful.  ``divisibility_verdicts``
+decides that question for a list of pairs.  The direct route comes first:
+array passes over the whole stack (one solve, the margins, the row rebuild,
+the witness gate and residuals) settle every pair whose Gamma(t') is
+invertible and whose unique candidate M = Gamma(t) Gamma(t')^-1 is clear of
+the margins, with the bits each would get alone.  Only the pairs it leaves
+go, one after another, to a linear feasibility problem over the entries of
+M.  ``divisibility_check`` is the same decision for one pair.
 """
 
 from __future__ import annotations
@@ -164,13 +164,6 @@ class IndivisibleProcess(ValueType):
         return self.transitions[key]
 
 
-def propagate(gamma: TransitionMatrix, p: Distribution) -> Distribution:
-    """Law of total probability: p(t) = Gamma(t<-t0) p(t0)."""
-    if gamma.n != p.n:
-        raise ValidationError(f"size mismatch: matrix {gamma.n}, vector {p.n}")
-    return Distribution(gamma.matrix @ p.p)
-
-
 def markov_compose(chain: Sequence[TransitionMatrix]) -> TransitionMatrix:
     """Compose a chronologically ordered chain into one transition matrix.
 
@@ -193,17 +186,6 @@ def markov_compose(chain: Sequence[TransitionMatrix]) -> TransitionMatrix:
     return TransitionMatrix(acc, t=chain[-1].t, t0=chain[0].t0)
 
 
-def pairwise_joint(gamma: TransitionMatrix, p: Distribution) -> np.ndarray:
-    """Two-time joint J_ij = Gamma_ij p_j.
-
-    Columns sum to p (marginal at the source time), rows sum to the
-    propagated distribution, and the whole table sums to 1.
-    """
-    if gamma.n != p.n:
-        raise ValidationError(f"size mismatch: matrix {gamma.n}, vector {p.n}")
-    return gamma.matrix * p.p[None, :]
-
-
 @dataclass(frozen=True)
 class DivisibilityVerdict:
     """Answer to 'does M with M @ Gamma(t'<-t0) = Gamma(t<-t0) exist?'.
@@ -223,10 +205,10 @@ class DivisibilityVerdict:
     residual: float = 0.0
 
 
-def direct_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
-                    ) -> list[DivisibilityVerdict | None]:
-    """Verdict per (gamma_t, gamma_tp) pair from the unique M = Gamma(t)
-    Gamma(t')^-1, or None where the LP must decide.
+def divisibility_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
+                          ) -> list[DivisibilityVerdict]:
+    """Verdict per (gamma_t, gamma_tp) pair: from the unique M = Gamma(t)
+    Gamma(t')^-1 where it settles the pair, else from the LP.
 
     Every point of the relaxed LP is (Gamma(t) + E) Gamma(t')^-1 with
     |E| <= LP_RELAXATION entrywise, and the computed M is (Gamma(t) + R)
@@ -237,9 +219,10 @@ def direct_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
     nonnegative point, and the LP would find the pair indivisible too.  A
     nonnegative M is the witness, once the row with the largest minimum is
     rebuilt from the others: the true M has unit column sums exactly, because
-    1^T Gamma(t) = 1^T Gamma(t') = 1^T.  None is returned for a singular
-    Gamma(t'), for entries too close to zero to call either way, and for a
-    witness the usual gates refuse.
+    1^T Gamma(t) = 1^T Gamma(t') = 1^T.  A singular Gamma(t'), entries too
+    close to zero to call either way, and a witness the usual gates refuse
+    leave the pair to the LP, which decides the leftovers one after another
+    (see ``divisibility_check``).
 
     The two matrices of a pair share their source time, and all pairs share
     one size.  One pass over the whole (k, n, n) stack each gives the solve,
@@ -250,7 +233,7 @@ def direct_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
     residuals.  Per pair remain the certificate text of an indivisible pair
     and the ``TransitionMatrix`` around an accepted witness, which holds a
     read-only view of the gated stack and is not gated again.  Each pair's
-    verdict has the bits it has alone.
+    verdict has the bits it has alone, and each pair is solved once.
     """
     if not pairs:
         return []
@@ -283,7 +266,7 @@ def direct_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
         # one more stacked solve; each matrix is factored on its own.
         live = np.flatnonzero(np.linalg.slogdet(lhs)[0] != 0)
         sol = np.linalg.solve(lhs[live], rhs[live])
-    verdicts: list[DivisibilityVerdict | None] = [None] * len(pairs)
+    verdicts: list[DivisibilityVerdict | None] = [None] * len(pairs)  # None: LP
     finite = np.isfinite(sol).all(axis=(1, 2))
     live, sol = live[finite], sol[finite]
     # Columns of Gamma(t') sum to 1, so ||Gamma(t')^-1||_1 is its condition
@@ -308,8 +291,6 @@ def direct_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
                 f"-{margins[p]:.6e} = -10 * max({LP_RELAXATION:.0e}, residual) * "
                 "||Gamma(t'<-t0)^-1||_1; no column-stochastic M exists"),
             residual=float(residuals[p]))
-    if indivisible.all():
-        return verdicts
     live, ms = live[~indivisible], ms[~indivisible]
     # The row with the largest minimum becomes 1 - (sum of the other rows,
     # in index order).  Adding the zeroed row can flip only the sign of a
@@ -327,27 +308,30 @@ def direct_verdicts(pairs: Sequence[tuple[TransitionMatrix, TransitionMatrix]]
             freeze(witness, matrix=m, t=pairs[k][0].t, t0=pairs[k][1].t)
             verdicts[k] = DivisibilityVerdict("divisible", witness=witness,
                                               residual=residual)
-    return verdicts
+    return [_lp_verdict(*pair) if verdict is None else verdict
+            for pair, verdict in zip(pairs, verdicts)]
 
 
 def divisibility_check(gamma_t: TransitionMatrix,
                        gamma_tp: TransitionMatrix) -> DivisibilityVerdict:
     """Decide divisibility of gamma_t through gamma_tp (shared source time).
 
-    The direct route comes first: when Gamma(t') is invertible, the unique
-    M = Gamma(t) Gamma(t')^-1 settles most pairs (``direct_verdicts``).  The
-    rest go to the LP, where the entries of M form an N^2-variable
-    feasibility problem: M >= 0, unit column sums, and M @ gamma_tp =
-    gamma_t, with every equality relaxed to paired inequalities at
-    LP_RELAXATION.  A feasible point is column renormalized and returned as
-    the witness; infeasibility is definitive for the relaxed problem; hitting
-    the pivot cap is reported as indeterminate, never coerced into either
-    answer.
+    One pair through ``divisibility_verdicts``: the unique M = Gamma(t)
+    Gamma(t')^-1 settles the pair when Gamma(t') is invertible and M is
+    clear of the margins; otherwise the LP decides.  There the entries of M
+    form an N^2-variable feasibility problem: M >= 0, unit column sums, and
+    M @ gamma_tp = gamma_t, with every equality relaxed to paired
+    inequalities at LP_RELAXATION.  A feasible point is column renormalized
+    and returned as the witness; infeasibility is definitive for the relaxed
+    problem; hitting the pivot cap is reported as indeterminate, never
+    coerced into either answer.
     """
-    direct = direct_verdicts([(gamma_t, gamma_tp)])[0]
-    if direct is not None:
-        return direct
+    return divisibility_verdicts([(gamma_t, gamma_tp)])[0]
 
+
+def _lp_verdict(gamma_t: TransitionMatrix,
+                gamma_tp: TransitionMatrix) -> DivisibilityVerdict:
+    """The LP's verdict on one pair (see ``divisibility_check``)."""
     n = gamma_t.n
     gp = gamma_tp.matrix
     gt = gamma_t.matrix

@@ -14,6 +14,7 @@ from indivisible import oscillator as osc
 from indivisible import serialize as ser
 from indivisible import stochastic as stoch
 from indivisible.serialize import canonical_dumps
+from oracles import divisibility_constraints
 
 
 def write(path, obj):
@@ -249,26 +250,62 @@ def test_all_pairs_settled_directly_do_not_import_the_pool(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
-def test_singular_pair_reaches_the_lp_in_the_calling_thread(tmp_path, monkeypatch):
+def _singular_process(tmp_path):
+    """Gamma(1), an exactly singular Gamma(2) and Gamma(3) = step Gamma(2):
+    of the pairs (2, 1), (3, 1) and (3, 2), only the last stands on the
+    singular matrix.  Returns the file and the three matrices."""
     rng = np.random.default_rng(34)
     g1 = rng.dirichlet(np.ones(4), size=4).T
     step = rng.dirichlet(np.ones(4), size=4).T
-    inp = _process_file(tmp_path / "proc.json", [g1, SINGULAR_4, step @ SINGULAR_4])
+    mats = [g1, SINGULAR_4, step @ SINGULAR_4]
+    return _process_file(tmp_path / "proc.json", mats), mats
+
+
+def count_lp_calls(monkeypatch) -> list:
+    """Records the (a_ub, b_ub) of every LP the program solves."""
     calls = []
+    solve = stoch.find_nonnegative_solution
 
-    def counted(gamma_t, gamma_tp):
-        calls.append((gamma_t.t, gamma_tp.t))
-        return check(gamma_t, gamma_tp)
+    def counted(a_ub, b_ub):
+        calls.append((a_ub, b_ub))
+        return solve(a_ub, b_ub)
 
-    check = stoch.divisibility_check
-    monkeypatch.setattr(cli.stoch, "divisibility_check", counted)
+    monkeypatch.setattr(stoch, "find_nonnegative_solution", counted)
+    return calls
+
+
+def test_singular_pair_reaches_the_lp_in_the_calling_thread(tmp_path, monkeypatch):
+    inp, (_, singular, g3) = _singular_process(tmp_path)
+    calls = count_lp_calls(monkeypatch)
+    # the constraints of the pair (3, 2)
+    want = [x.tobytes() for x in
+            divisibility_constraints(g3, singular, stoch.LP_RELAXATION)]
     report = _all_pairs_bytes(tmp_path, inp, 1)
-    assert calls == [(3.0, 2.0)]
+    assert [[a.tobytes(), b.tobytes()] for a, b in calls] == [want]
     assert _all_pairs_bytes(tmp_path, inp, 2) == report
-    assert calls == [(3.0, 2.0)] * 2
+    assert [[a.tobytes(), b.tobytes()] for a, b in calls] == [want] * 2
     pairs = {(p["t"], p["tp"]): p for p in json.loads(report)["pairs"]}
     assert pairs[3.0, 2.0]["status"] == "divisible"  # M = step, found by the LP
     assert pairs[3.0, 2.0]["residual"] <= stoch.WITNESS_RESIDUAL_TOL
+
+
+def test_all_pairs_solves_each_pair_once(tmp_path, monkeypatch):
+    """One stacked solve of the three pairs meets the singular Gamma(2), one
+    more solves the two others, and the pair (3, 2) goes to the LP without
+    being solved again."""
+    inp, _ = _singular_process(tmp_path)
+    sizes = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        sizes.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    calls = count_lp_calls(monkeypatch)
+    _all_pairs_bytes(tmp_path, inp, 1)
+    assert sizes == [3, 2]
+    assert len(calls) == 1
 
 
 def test_divisibility_explicit_pair_divisible(tmp_path):
@@ -614,6 +651,9 @@ OUT_OF_RANGE_CASES = {
     "embed-dt": ("embed", '{"law": "free"}', ["--dt", "0"], "--dt"),
     "extract-hamiltonian-dt": ("extract-hamiltonian", HERMITIAN_2_TEXT,
                                ["--dt", "0"], "--dt"),
+    # 1 / (2 dt) overflows in the quotient
+    "extract-hamiltonian-subnormal-dt": ("extract-hamiltonian", HERMITIAN_2_TEXT,
+                                         ["--dt", "1e-310"], "--dt"),
     "huge-integer": ("sh-sim",
                      json.dumps({**HERMITIAN_2, "re": [[0.3, 0.1], [0.1, 10 ** 400]]}),
                      [], "<root>.re[1][1]"),

@@ -17,11 +17,9 @@ from indivisible.stochastic import (
     IndivisibleProcess,
     TransitionMatrix,
     column_stochastic,
-    direct_verdicts,
     divisibility_check,
+    divisibility_verdicts,
     markov_compose,
-    pairwise_joint,
-    propagate,
 )
 from oracles import (
     direct_entry_below_margin,
@@ -222,7 +220,7 @@ def test_direct_witness_cannot_be_made_writable():
     base = random_column_stochastic(4, rng)
     pair = (TransitionMatrix(random_column_stochastic(4, rng) @ base, t=2.0),
             TransitionMatrix(base, t=1.0))
-    verdict, = direct_verdicts([pair])
+    verdict, = divisibility_verdicts([pair])
     assert verdict.status == "divisible"
     witness = verdict.witness.matrix
     while isinstance(witness, np.ndarray):  # the witness and its bases
@@ -240,15 +238,6 @@ def test_transition_matrix_requires_square():
 def test_validate_transition_stamps():
     tm = TransitionMatrix(np.eye(3), t=2.0, t0=0.5)
     assert (tm.t, tm.t0) == (2.0, 0.5)
-
-
-def test_propagate_matches_matrix_product():
-    rng = np.random.default_rng(0)
-    gamma = TransitionMatrix(random_column_stochastic(4, rng))
-    p = Distribution(np.array([0.1, 0.2, 0.3, 0.4]))
-    out = propagate(gamma, p)
-    np.testing.assert_allclose(out.p, gamma.matrix @ p.p, atol=1e-15)
-    assert out.p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_markov_compose_orders_chronologically():
@@ -271,17 +260,6 @@ def test_markov_compose_rejects_broken_chains():
     g3 = TransitionMatrix(np.eye(3), t=2.0, t0=1.0)
     with pytest.raises(ValidationError, match="differ in dimension"):
         markov_compose([g1, g3])
-
-
-def test_pairwise_joint_marginals():
-    rng = np.random.default_rng(2)
-    gamma = TransitionMatrix(random_column_stochastic(3, rng))
-    p = Distribution(np.array([0.5, 0.3, 0.2]))
-    joint = pairwise_joint(gamma, p)
-    np.testing.assert_allclose(joint.sum(axis=0), p.p, atol=1e-14)
-    np.testing.assert_allclose(joint.sum(axis=1), gamma.matrix @ p.p,
-                               atol=1e-14)
-    np.testing.assert_allclose(joint, gamma.matrix * p.p[None, :], atol=0.0)
 
 
 def qubit_process() -> IndivisibleProcess:
@@ -376,10 +354,6 @@ def test_check_requires_matching_sizes():
     g2 = TransitionMatrix(np.eye(3), t=2.0, t0=0.0)
     with pytest.raises(ValidationError):
         divisibility_check(g2, g1)
-    p = Distribution(np.array([1.0, 0.0, 0.0]))
-    for apply in (propagate, pairwise_joint):
-        with pytest.raises(ValidationError, match="matrix 2, vector 3"):
-            apply(g1, p)
 
 
 def test_lp_layout_follows_the_definition(monkeypatch):
@@ -446,11 +420,15 @@ def test_lp_verdicts_agree_with_both_2x2_oracles():
         assert exact_divisible_2x2(gt, g1) in (True, None)
 
 
-def count_lp_calls(monkeypatch) -> list:
+def count_lp_calls(monkeypatch, answer=None) -> list:
+    """Records the arguments of every LP solve; the LP's result, or
+    ``answer`` in its place when one is given."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
+        if answer is not None:
+            return answer
         return find_nonnegative_solution(*args, **kwargs)
 
     monkeypatch.setattr(stochastic, "find_nonnegative_solution", counted)
@@ -545,18 +523,27 @@ def _unitary_family(n, steps, rng):
             for k in range(steps)]
 
 
-def assert_matches_reference(pairs) -> list:
+# Stands in for the LP where a test checks only which pairs reach it.
+LP_NOT_RUN = lp.FeasibilityResult("iteration_limit", None, 0.0, 0)
+
+
+def assert_matches_reference(pairs, monkeypatch) -> list:
     """The stacked route gives each pair the reference's status, certificate
-    text, residual bits and witness bits; returns the statuses (None for
-    the LP)."""
-    got = direct_verdicts(pairs)
+    text, residual bits and witness bits, and hands exactly the pairs the
+    reference leaves, in order, to the LP (not run); returns the statuses
+    (None for the LP)."""
+    calls = count_lp_calls(monkeypatch, LP_NOT_RUN)
+    got = divisibility_verdicts(pairs)
     assert len(got) == len(pairs)
-    statuses = []
+    statuses, left = [], []
     for (gamma_t, gamma_tp), verdict in zip(pairs, got):
         want = reference_direct_verdict(gamma_t, gamma_tp)
         statuses.append(None if want is None else want.status)
         if want is None:
-            assert verdict is None
+            assert verdict.status == "indeterminate"
+            assert verdict.certificate.startswith("phase-1 simplex hit the 0-pivot")
+            left.append(divisibility_constraints(
+                gamma_t.matrix, gamma_tp.matrix, LP_RELAXATION))
             continue
         assert verdict.status == want.status
         assert verdict.certificate == want.certificate
@@ -567,30 +554,34 @@ def assert_matches_reference(pairs) -> list:
             assert np.array_equal(verdict.witness.matrix, want.witness.matrix)
             assert (verdict.witness.t, verdict.witness.t0) == (
                 want.witness.t, want.witness.t0)
+    assert len(calls) == len(left)
+    for (a_ub, b_ub), (want_a, want_b) in zip(calls, left):
+        assert a_ub.tobytes() == want_a.tobytes()
+        assert b_ub.tobytes() == want_b.tobytes()
     return statuses
 
 
-def test_stacked_route_matches_the_per_pair_route_on_markov_chains():
+def test_stacked_route_matches_the_per_pair_route_on_markov_chains(monkeypatch):
     rng = np.random.default_rng(21)
     seen = set()
     for n in range(2, 11):
         for steps in (3, 7, 12):
             seen.update(assert_matches_reference(
-                _all_pairs(_markov_chain(n, steps, rng))))
+                _all_pairs(_markov_chain(n, steps, rng)), monkeypatch))
     assert "divisible" in seen  # by construction
 
 
-def test_stacked_route_matches_the_per_pair_route_on_unitary_families():
+def test_stacked_route_matches_the_per_pair_route_on_unitary_families(monkeypatch):
     rng = np.random.default_rng(22)
     seen = set()
     for n in range(4, 11):
         for _ in range(3):
             seen.update(assert_matches_reference(
-                _all_pairs(_unitary_family(n, 6, rng))))
+                _all_pairs(_unitary_family(n, 6, rng)), monkeypatch))
     assert "indivisible" in seen
 
 
-def test_one_exactly_singular_gamma_leaves_the_other_pairs_direct():
+def test_one_exactly_singular_gamma_leaves_the_other_pairs_direct(monkeypatch):
     rng = np.random.default_rng(23)
     g1 = random_column_stochastic(4, rng)
     # Equal power-of-two columns: elimination leaves an exact zero pivot.
@@ -600,20 +591,20 @@ def test_one_exactly_singular_gamma_leaves_the_other_pairs_direct():
     stack = np.stack([gamma_tp.matrix.T for _, gamma_tp in pairs])
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(stack, stack)
-    statuses = assert_matches_reference(pairs)
+    statuses = assert_matches_reference(pairs, monkeypatch)
     # Pairs (2, 1), (3, 1), (3, 2): only the last stands on the singular one.
     assert statuses[2] is None
     assert None not in statuses[:2]
 
 
-def test_a_non_finite_solve_leaves_only_its_own_pair_to_the_lp():
+def test_a_non_finite_solve_leaves_only_its_own_pair_to_the_lp(monkeypatch):
     # The pivot 1e-310 is nonzero, so LAPACK solves, and the inverse overflows.
     tiny = np.array([[1e-310, 0.0], [1.0, 1.0]])
     assert not np.isfinite(np.linalg.solve(tiny.T, np.eye(2))).all()
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     mix = np.array([[0.75, 0.5], [0.25, 0.5]])
     pairs = _all_pairs([mix, tiny, swap @ mix])
-    statuses = assert_matches_reference(pairs)
+    statuses = assert_matches_reference(pairs, monkeypatch)
     assert statuses[2] is None
     assert None not in statuses[:2]
 
@@ -679,9 +670,9 @@ def test_stacked_route_settles_a_stack_that_mixes_every_outcome(monkeypatch):
     witness = TransitionMatrix(_rebuilt_witness(*inexact))
     assert np.abs(witness.matrix @ inexact[1].matrix
                   - inexact[0].matrix).max() > WITNESS_RESIDUAL_TOL
-    assert assert_matches_reference(pairs) == [
+    assert assert_matches_reference(pairs, monkeypatch) == [
         "divisible", "indivisible", None, None, None]
-    assert assert_matches_reference(pairs[:3] + pairs[4:]) == [
+    assert assert_matches_reference(pairs[:3] + pairs[4:], monkeypatch) == [
         "divisible", "indivisible", None, None]
     # The singular pair fails the first stacked solve; the other four share
     # the second.
@@ -693,13 +684,15 @@ def test_stacked_route_settles_a_stack_that_mixes_every_outcome(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    direct_verdicts(pairs)
+    calls = count_lp_calls(monkeypatch, LP_NOT_RUN)
+    divisibility_verdicts(pairs)
     assert shapes == [(5, n, n), (4, n, n)]
+    assert len(calls) == 3
 
 
 def test_stacked_route_refuses_pairs_of_different_sizes():
     small = TransitionMatrix(np.eye(2), t=1.0, t0=0.0)
     large = TransitionMatrix(np.eye(3), t=1.0, t0=0.0)
     with pytest.raises(ValidationError, match="pairs differ in size"):
-        direct_verdicts([(small, small), (large, large)])
-    assert direct_verdicts([]) == []
+        divisibility_verdicts([(small, small), (large, large)])
+    assert divisibility_verdicts([]) == []
