@@ -13,15 +13,13 @@ operational dilations:
 - ``cli``: the ``indivisible`` executable.
 """
 
+from types import ModuleType as _ModuleType
+
 from .complex_repr import (
     Mat2C,
     PseudoQuaternionElement,
-    c2_conj,
-    c2_exp_rotation,
     c2_modulus_sq,
     c2_mul,
-    c2_reciprocal,
-    entrywise_mul,
     pq_mul,
     taylor_exp_rotation,
 )
@@ -32,7 +30,6 @@ from .correspondence import (
     PotentialMatrix,
     UnistochasticResult,
     UnitaryMatrix,
-    apply_kraus,
     density_from_distribution,
     dilation_marginal,
     evolve_density,
@@ -42,7 +39,6 @@ from .correspondence import (
     polygon_certificate,
     potential_from_transition,
     quantum_to_stochastic,
-    rank_one_factor,
     stinespring_dilate,
     unistochastic_search,
 )
@@ -53,20 +49,16 @@ from .embed import (
     SecondOrderODE,
     Trajectory,
     check_time_reversal_invariance,
-    eval_complex_flow,
     integrate_complex,
     integrate_embedded,
     iterate_discrete,
     step_discrete,
     time_reverse,
-    xy_inverse,
-    xy_transform,
 )
 from .errors import (
     DomainError,
     InputFormatError,
     IntegrationError,
-    NotRankOneError,
     UnsupportedSizeError,
     ValidationError,
 )
@@ -80,7 +72,6 @@ from .oscillator import (
     sh_decompose,
     sh_energy,
     sh_integrate,
-    sh_normal_modes,
     sh_recombine,
     sh_split,
     time_reverse_state,
@@ -96,4 +87,6 @@ from .stochastic import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# API names only: importing a submodule also binds its name here.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -387,6 +387,10 @@ def _cmd_extract_hamiltonian(args) -> int:
     if not norm * args.dt < math.pi / 2:
         raise InputFormatError("--dt", f"||H|| dt is {norm * args.dt:.3g}, "
                                "not below pi/2, so the quotient aliases")
+    if 0.0 < norm * args.dt < sys.float_info.epsilon:
+        # The quotient's rounding error, about eps / dt, would exceed ||H||.
+        raise InputFormatError("--dt", f"||H|| dt is {norm * args.dt:.3g}, "
+                               "below float epsilon, so no digit of H survives")
     if not math.isfinite(norm * (abs(args.t) + args.dt)):
         raise InputFormatError("--t", "||H|| (|t| + dt) is not finite")
     # U(t + s) = U(t) U(s): the family seen from t is sampled at exactly

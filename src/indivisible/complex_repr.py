@@ -20,7 +20,6 @@ so {+-ONE, +-IMAG, +-K, +-IMAG@K} close under multiplication.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,43 +57,18 @@ def c2_mul(a: Mat2C, b: Mat2C) -> Mat2C:
     return Mat2C(a.x * b.x - a.y * b.y, a.x * b.y + a.y * b.x)
 
 
-def c2_add(a: Mat2C, b: Mat2C) -> Mat2C:
-    return Mat2C(a.x + b.x, a.y + b.y)
-
-
-def c2_conj(a: Mat2C) -> Mat2C:
-    """Conjugate (x, -y); the render of the result is the transposed render."""
-    return Mat2C(a.x, -a.y)
-
-
 def c2_modulus_sq(a: Mat2C) -> float:
     """Squared modulus x^2 + y^2, equal to the determinant of the render."""
     return a.x * a.x + a.y * a.y
-
-
-def c2_reciprocal(a: Mat2C) -> Mat2C:
-    """Multiplicative inverse conj(a) / |a|^2.
-
-    Raises ZeroDivisionError for the zero pair, which is the only pair without
-    an inverse.
-    """
-    m = c2_modulus_sq(a)
-    if m == 0.0:
-        raise ZeroDivisionError("the zero pair has no reciprocal")
-    return Mat2C(a.x / m, -a.y / m)
-
-
-def c2_exp_rotation(theta: float) -> Mat2C:
-    """Rotation exp(IMAG * theta) as the pair (cos theta, sin theta)."""
-    return Mat2C(math.cos(theta), math.sin(theta))
 
 
 def taylor_exp_rotation(theta: float, max_terms: int = EXP_MAX_TERMS) -> np.ndarray:
     """Evaluate exp(IMAG * theta) by direct Taylor summation of the matrix series.
 
     Terms are added until the next term's magnitude falls below EXP_TERM_CUTOFF
-    (scaled by the running partial sum), capped at ``max_terms``.  Exists as an
-    independent route to the closed form used by :func:`c2_exp_rotation`.
+    (scaled by the running partial sum), capped at ``max_terms``.  An
+    independent route to the closed form [[cos theta, -sin theta],
+    [sin theta, cos theta]].
     """
     acc = ONE.copy()
     term = ONE.copy()
@@ -104,17 +78,6 @@ def taylor_exp_rotation(theta: float, max_terms: int = EXP_MAX_TERMS) -> np.ndar
         if np.max(np.abs(term)) < EXP_TERM_CUTOFF * max(1.0, np.max(np.abs(acc))):
             break
     return acc
-
-
-def entrywise_mul(a: Mat2C, b: Mat2C) -> Mat2C:
-    """Entrywise (Hadamard) product of the coefficient pairs: (ac, bd).
-
-    Deliberately NOT a complex product.  Kept as a foil: under this operation
-    the pair (a, 0) with a != 0 has no inverse (the entrywise unit is (1, 1),
-    and (a, 0) * (c, d) = (ac, 0) can never reach it), so the entrywise
-    algebra fails the division property that c2_mul enjoys.
-    """
-    return Mat2C(a.x * b.x, a.y * b.y)
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +91,12 @@ _PQ_RENDER = {
     "iK": IMAG @ FLIP,  # [[-1, 0], [0, 1]]
 }
 
-# Row label times column label.  Derived from i*i = -1, K*K = 1, K*i = -i*K;
-# cross-checked against the 2x2 renders in the test suite.
-_PQ_TABLE = {
-    ("one", "one"): ("one", 1), ("one", "i"): ("i", 1),
-    ("one", "K"): ("K", 1), ("one", "iK"): ("iK", 1),
-    ("i", "one"): ("i", 1), ("i", "i"): ("one", -1),
-    ("i", "K"): ("iK", 1), ("i", "iK"): ("K", -1),
-    ("K", "one"): ("K", 1), ("K", "i"): ("iK", -1),
-    ("K", "K"): ("one", 1), ("K", "iK"): ("i", -1),
-    ("iK", "one"): ("iK", 1), ("iK", "i"): ("K", 1),
-    ("iK", "K"): ("i", 1), ("iK", "iK"): ("one", 1),
-}
+# Row label times column label: the signed unit whose render is the product
+# of the two renders.  Float keys compare -0.0 equal to 0.0.
+_SIGNED_UNIT = {tuple((s * m).ravel().tolist()): (tag, s)
+                for tag, m in _PQ_RENDER.items() for s in (1, -1)}
+_PQ_TABLE = {(a, b): _SIGNED_UNIT[tuple((ma @ mb).ravel().tolist())]
+             for a, ma in _PQ_RENDER.items() for b, mb in _PQ_RENDER.items()}
 
 
 @dataclass(frozen=True)

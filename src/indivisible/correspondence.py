@@ -25,14 +25,14 @@ a symmetric difference quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import (NotRankOneError, SquareMatrix, UnsupportedSizeError,
-                     ValidationError, ValueType, completeness_deviation,
-                     freeze, require_hermitian, square_matrix)
-from .oscillator import HERMITICITY_TOL, HermitianMatrix, StateVector
+from .errors import (SquareMatrix, UnsupportedSizeError, ValidationError,
+                     ValueType, completeness_deviation, freeze,
+                     require_hermitian, square_matrix)
+from .oscillator import HERMITICITY_TOL, HermitianMatrix
 from .stochastic import SUM_TOL, Distribution, TransitionMatrix
 
 UNITARITY_TOL = 1e-10
@@ -41,8 +41,6 @@ DOUBLY_STOCHASTIC_TOL = 1e-12
 KRAUS_IDENTITY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 TRACE_TOL = 1e-12
-RANK_ONE_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-9
 
 SEARCH_RESTARTS = 32
 SEARCH_SEED = 42
@@ -433,12 +431,6 @@ def kraus_from_potential(theta: PotentialMatrix) -> KrausSet:
     return KrausSet(ops)
 
 
-def apply_kraus(kraus: KrausSet, rho: DensityMatrix) -> DensityMatrix:
-    """Channel action sum_beta K rho K^dag; trace is preserved by completeness."""
-    out = sum(k @ rho.matrix @ k.conj().T for k in kraus.operators)
-    return DensityMatrix(out)
-
-
 def stinespring_dilate(kraus: KrausSet) -> UnitaryMatrix:
     """Dilate the Kraus set to a unitary on system x ancilla (dimension N^2).
 
@@ -494,31 +486,6 @@ def evolve_density(u: UnitaryMatrix, rho: DensityMatrix) -> DensityMatrix:
     if u.n != rho.n:
         raise ValidationError(f"size mismatch: unitary {u.n}, density {rho.n}")
     return DensityMatrix(u.matrix @ rho.matrix @ u.matrix.conj().T)
-
-
-def rank_one_factor(rho: DensityMatrix) -> StateVector:
-    """Extract Psi with Psi Psi^dag = rho, or raise NotRankOneError.
-
-    The matrix counts as rank one when every eigenvalue but the largest is
-    at most RANK_ONE_TOL.  Gauge: the first component with modulus above
-    1e-12 is rotated to the positive real axis.
-    """
-    eigs, vecs = np.linalg.eigh(rho.matrix)
-    if rho.n > 1 and float(eigs[-2]) > RANK_ONE_TOL:
-        raise NotRankOneError(
-            f"second eigenvalue {float(eigs[-2]):.3e} exceeds "
-            f"{RANK_ONE_TOL:.0e}", spectrum=[float(x) for x in eigs])
-    psi = vecs[:, -1]
-    for c in psi:
-        if abs(c) > 1e-12:
-            psi = psi * (np.conj(c) / abs(c))
-            break
-    dev = float(np.max(np.abs(np.outer(psi, psi.conj()) - rho.matrix)))
-    if dev > RECONSTRUCTION_TOL:
-        raise NotRankOneError(
-            f"outer product misses rho by {dev:.3e}",
-            spectrum=[float(x) for x in eigs])
-    return StateVector(psi, normalized=True)
 
 
 # ---------------------------------------------------------------------------

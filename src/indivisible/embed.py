@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -88,30 +88,6 @@ def iterate_discrete(law: SecondOrderDiscreteLaw, state: EmbeddedState,
     return out
 
 
-def xy_transform(pairs: Sequence[tuple | EmbeddedState]) -> list[tuple]:
-    """Change of variables (x, y) -> (x + y, x - y), applied samplewise."""
-    out = []
-    for s in pairs:
-        x, y = (s.x, s.y) if isinstance(s, EmbeddedState) else (s[0], s[1])
-        out.append((x + y, x - y))
-    return out
-
-
-def xy_inverse(pairs: Sequence[tuple]) -> list[tuple]:
-    """Invert xy_transform.
-
-    Integer inputs come back as exact integers; X + Y is even whenever the
-    pair came from xy_transform, since x + y and x - y share parity.
-    """
-    out = []
-    for X, Y in pairs:
-        if isinstance(X, int) and isinstance(Y, int):
-            out.append(((X + Y) // 2, (X - Y) // 2))
-        else:
-            out.append(((X + Y) / 2, (X - Y) / 2))
-    return out
-
-
 @dataclass(frozen=True)
 class SecondOrderODE:
     """Continuous law x'' = f(x, x')."""
@@ -124,11 +100,6 @@ class ComplexFlow:
     """The complexified form z' = y + i f(x, y) of a second-order ODE."""
 
     ode: SecondOrderODE
-
-
-def eval_complex_flow(flow: ComplexFlow, z: complex) -> complex:
-    x, y = z.real, z.imag
-    return complex(y, flow.ode.f(x, y))
 
 
 @dataclass(frozen=True)
@@ -220,33 +191,6 @@ def time_reverse(traj: Trajectory) -> Trajectory:
     ascending in time; applying the map twice returns the input exactly.
     """
     return Trajectory(-traj.times[::-1], traj.x[::-1], -traj.y[::-1])
-
-
-def flow_residual(traj: Trajectory, ode: SecondOrderODE) -> float:
-    """Max central-difference residual of x' = y, y' = f(x, y) over interior samples.
-
-    For an RK4 trajectory at step dt the residual is dominated by the
-    O(dt^2) finite-difference error, not by the integrator.
-    """
-    if len(traj) < 3:
-        return 0.0
-    t, x, y = traj.times, traj.x, traj.y
-    dt2 = t[2:] - t[:-2]
-    rx = (x[2:] - x[:-2]) / dt2 - y[1:-1]
-    fvals = np.array([ode.f(xi, yi) for xi, yi in zip(x[1:-1], y[1:-1])])
-    ry = (y[2:] - y[:-2]) / dt2 - fvals
-    return float(max(np.max(np.abs(rx)), np.max(np.abs(ry))))
-
-
-def complex_flow_residual(times: np.ndarray, zs: np.ndarray,
-                          flow: ComplexFlow) -> float:
-    """Max central-difference residual of z' = calF(z) over interior samples."""
-    if len(times) < 3:
-        return 0.0
-    dt2 = times[2:] - times[:-2]
-    dz = (zs[2:] - zs[:-2]) / dt2
-    fvals = np.array([eval_complex_flow(flow, z) for z in zs[1:-1]])
-    return float(np.max(np.abs(dz - fvals)))
 
 
 def reverse_complex(times: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

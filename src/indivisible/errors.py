@@ -40,17 +40,6 @@ class UnsupportedSizeError(ValueError):
     """The requested dimension is outside the range an algorithm supports."""
 
 
-class NotRankOneError(ValueError):
-    """Density matrix has more than one significant eigenvalue.
-
-    The full eigenvalue spectrum (ascending) is attached for diagnostics.
-    """
-
-    def __init__(self, message: str, spectrum):
-        super().__init__(message)
-        self.spectrum = spectrum
-
-
 class InputFormatError(ValueError):
     """A JSON input file is malformed; ``field`` names the offending entry."""
 

@@ -311,16 +311,6 @@ def sh_integrate(system: SHSystem, state: PhaseSpaceState, dt: float,
     return PhaseTrajectory(dt * idx, samples.real, samples.imag)
 
 
-def sh_normal_modes(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenfrequencies (ascending) and the unitary of eigenvectors.
-
-    In the returned basis the system decouples: transforming H by the basis
-    leaves A diagonal (the frequencies) and B zero.
-    """
-    w, v = np.linalg.eigh(h.matrix)
-    return w, v
-
-
 def exact_evolve(h: HermitianMatrix, psi0: StateVector,
                  t: float | np.ndarray) -> StateVector | np.ndarray:
     """Apply exp(-i H t) through one eigendecomposition H = V diag(w) V^dag.

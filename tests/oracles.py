@@ -550,6 +550,28 @@ def reference_rk4(f, x0: float, v0: float, dt: float,
     return times, xs, ys
 
 
+def flow_residual(times, xs, ys, f) -> float:
+    """Max central-difference residual of x' = y, y' = f(x, y) over the
+    interior samples.
+
+    On an RK4 trajectory at step dt it is dominated by the O(dt^2)
+    difference error, not by the integrator's.
+    """
+    dt2 = times[2:] - times[:-2]
+    rx = (xs[2:] - xs[:-2]) / dt2 - ys[1:-1]
+    fvals = np.array([f(x, y) for x, y in zip(xs[1:-1], ys[1:-1])])
+    ry = (ys[2:] - ys[:-2]) / dt2 - fvals
+    return float(max(np.max(np.abs(rx)), np.max(np.abs(ry))))
+
+
+def complex_flow_residual(times, zs, f) -> float:
+    """Max central-difference residual of z' = y + i f(x, y), z = x + iy,
+    over the interior samples."""
+    dt2 = times[2:] - times[:-2]
+    fvals = np.array([complex(z.imag, f(z.real, z.imag)) for z in zs[1:-1]])
+    return float(np.max(np.abs((zs[2:] - zs[:-2]) / dt2 - fvals)))
+
+
 def reference_reversal_probe(f, samples: int, seed: int, box: float,
                              tol: float) -> tuple[bool, float]:
     """max |f(x, -y) - f(x, y)| over ``samples`` points, each drawn on its

@@ -463,6 +463,18 @@ def test_extract_hamiltonian_below_the_aliasing_bound(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
+def test_extract_hamiltonian_of_zero_at_a_tiny_dt(tmp_path):
+    """The refusal of ||H|| dt below float epsilon spares H = 0: its family
+    is constant, so the quotient is exactly H at any dt."""
+    inp = tmp_path / "h.json"
+    inp.write_text(DIAGONAL_HERMITIAN_TEXT % (0.0, 0.0))
+    out = tmp_path / "ham.json"
+    assert run(["extract-hamiltonian", "--input", inp, "--output", out,
+                "--dt", "1e-17"]) == 0
+    assert json.loads(out.read_text())["max_error_vs_input"] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t", ["1", "1e6", "1e9", "1e10", "1e11", "1e12",
                                "1e300", "-1e11"])
 def test_extract_hamiltonian_step_is_dt_at_every_t(tmp_path, t):
@@ -654,6 +666,10 @@ OUT_OF_RANGE_CASES = {
     # 1 / (2 dt) overflows in the quotient
     "extract-hamiltonian-subnormal-dt": ("extract-hamiltonian", HERMITIAN_2_TEXT,
                                          ["--dt", "1e-310"], "--dt"),
+    # ||H|| dt = 6.2e-18 is below float epsilon: the quotient read H as zero
+    "extract-hamiltonian-tiny-norm-dt": (
+        "extract-hamiltonian", '{"n": 2, "re": [[0.3, 0.1], [0.1, -0.2]], '
+        '"im": [[0.0, 0.5], [-0.5, 0.0]]}', ["--dt", "1e-17"], "--dt"),
     "huge-integer": ("sh-sim",
                      json.dumps({**HERMITIAN_2, "re": [[0.3, 0.1], [0.1, 10 ** 400]]}),
                      [], "<root>.re[1][1]"),

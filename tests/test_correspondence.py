@@ -12,7 +12,6 @@ from indivisible.correspondence import (
     PolygonViolation,
     PotentialMatrix,
     UnitaryMatrix,
-    apply_kraus,
     density_from_distribution,
     dilation_marginal,
     evolve_density,
@@ -22,15 +21,10 @@ from indivisible.correspondence import (
     polygon_certificate,
     potential_from_transition,
     quantum_to_stochastic,
-    rank_one_factor,
     stinespring_dilate,
     unistochastic_search,
 )
-from indivisible.errors import (
-    NotRankOneError,
-    UnsupportedSizeError,
-    ValidationError,
-)
+from indivisible.errors import UnsupportedSizeError, ValidationError
 from indivisible.stochastic import Distribution, TransitionMatrix
 from oracles import (ReferenceKrausSet, polygon_excess, random_orthogonal,
                      random_unitary, reference_completeness_deviation,
@@ -454,18 +448,6 @@ def test_kraus_set_refuses_a_bad_operator_as_the_tuple_form(n):
                                    f"column {beta}")
 
 
-def test_apply_kraus_matches_channel_sum():
-    rng = np.random.default_rng(7)
-    u = random_unitary(3, rng)
-    theta = PotentialMatrix(u)
-    ks = kraus_from_potential(theta)
-    rho = density_from_distribution(Distribution(np.array([0.6, 0.3, 0.1])))
-    out = apply_kraus(ks, rho)
-    want = sum(k @ rho.matrix @ k.conj().T for k in ks.operators)
-    np.testing.assert_allclose(out.matrix, want, atol=1e-14)
-    assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
-
-
 def test_dilation_of_identity_fixes_system_sector():
     ks = kraus_from_potential(PotentialMatrix(np.eye(2, dtype=complex)))
     dil = stinespring_dilate(ks)
@@ -552,25 +534,6 @@ def test_evolve_density_checks_dimensions():
     rho = density_from_distribution(Distribution(np.array([1.0, 0.0, 0.0])))
     with pytest.raises(ValidationError):
         evolve_density(u, rho)
-
-
-def test_rank_one_factor_round_trip():
-    rng = np.random.default_rng(10)
-    psi = rng.normal(size=5) + 1j * rng.normal(size=5)
-    psi /= np.linalg.norm(psi)
-    rho = DensityMatrix(np.outer(psi, np.conj(psi)))
-    vec = rank_one_factor(rho)
-    np.testing.assert_allclose(np.outer(vec.psi, np.conj(vec.psi)),
-                               rho.matrix, atol=1e-12)
-    first = vec.psi[np.flatnonzero(np.abs(vec.psi) > 1e-12)[0]]
-    assert first.imag == 0.0 and first.real > 0.0
-
-
-def test_rank_one_factor_rejects_mixed_states():
-    rho = density_from_distribution(Distribution(np.array([0.5, 0.5])))
-    with pytest.raises(NotRankOneError) as err:
-        rank_one_factor(rho)
-    assert err.value.spectrum is not None
 
 
 def test_hamiltonian_recovery_error_and_order():
