@@ -16,16 +16,17 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import correspondence as corr
-from . import embed as emb
 from . import oscillator as osc
 from . import serialize as ser
-from . import stochastic as stoch
 from .errors import (MAX_GRID_STEPS, InputFormatError, IntegrationError,
                      ValidationError)
+
+if TYPE_CHECKING:
+    from . import stochastic as stoch
 
 SCHEMA_VERSION = 1
 
@@ -111,6 +112,8 @@ def _status_line(text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_embed(args) -> int:
+    from . import embed as emb
+
     _require_grid(args)
     spec = ser.load_json(args.input)
     if not isinstance(spec, dict) or "law" not in spec:
@@ -257,6 +260,8 @@ def _verdict_payload(verdict: stoch.DivisibilityVerdict, t: float, tp: float) ->
 
 
 def _cmd_divisibility(args) -> int:
+    from . import stochastic as stoch
+
     _require_finite("--t", args.t)
     _require_finite("--tp", args.tp)
     _require_finite("--t0", args.t0)
@@ -291,6 +296,8 @@ def _cmd_divisibility(args) -> int:
 
 
 def _cmd_correspond(args) -> int:
+    from . import correspondence as corr
+
     _require_finite("--t", args.t)
     _require_finite("--t0", args.t0)
     payload = ser.load_json(args.input)
@@ -315,6 +322,8 @@ def _cmd_correspond(args) -> int:
 
 
 def _load_transition(args) -> tuple[stoch.TransitionMatrix, dict]:
+    from . import stochastic as stoch
+
     payload = ser.load_json(args.input)
     if not isinstance(payload, dict) or "matrix" not in payload:
         raise InputFormatError("matrix", "input must be an object with a matrix")
@@ -325,6 +334,10 @@ def _load_transition(args) -> tuple[stoch.TransitionMatrix, dict]:
 
 
 def _cmd_unistochastic(args) -> int:
+    from . import correspondence as corr
+
+    if args.max_iters is None:
+        args.max_iters = corr.SEARCH_MAX_ITERS
     if args.max_iters < 0:
         raise InputFormatError(
             "--max-iters", f"must be at least 0, got {args.max_iters!r}")
@@ -349,6 +362,8 @@ def _cmd_unistochastic(args) -> int:
 
 
 def _cmd_dilate(args) -> int:
+    from . import correspondence as corr
+
     gamma, payload = _load_transition(args)
     if "phases" in payload:
         phases = ser.parse_real_matrix(payload["phases"], "phases", gamma.n)
@@ -374,6 +389,8 @@ def _cmd_dilate(args) -> int:
 
 
 def _cmd_extract_hamiltonian(args) -> int:
+    from . import correspondence as corr
+
     _require_finite("--t", args.t)
     _require_positive("--dt", args.dt)
     if args.dt < sys.float_info.min:
@@ -469,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("unistochastic", help="search for a realizing unitary")
     _add_common(p)
-    p.add_argument("--max-iters", type=int, default=corr.SEARCH_MAX_ITERS)
+    # None stands for corr.SEARCH_MAX_ITERS, read when the command runs.
+    p.add_argument("--max-iters", type=int, default=None)
     p.set_defaults(handler=_cmd_unistochastic)
 
     p = subs.add_parser("dilate", help="Kraus set and Stinespring dilation")
@@ -488,7 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Built once at import and only read after: parse_args makes a fresh
 # namespace per call and _apply_config writes to that namespace alone, so
-# every main() call in a process can share it.
+# every main() call in a process can share it.  Building it reads no
+# constant of a subcommand's own modules: each handler imports those
+# (stochastic, correspondence, embed) when it runs, so a process loads only
+# what its subcommands use.
 _PARSER = build_parser()
 
 _CONFIG_ALIASES = {"T": "duration"}

@@ -445,6 +445,11 @@ def stinespring_dilate(kraus: KrausSet) -> UnitaryMatrix:
     factorization of [K_j |j> | 1], its first column replaced by K_j |j>
     itself (the two differ by the phase of R[0, 0]).  U is unitary to
     machine precision, deterministic, and has at most N^3 nonzero entries.
+
+    Each Q_j is lower Hessenberg in exact arithmetic: [K_j |j> | 1] = Q_j R
+    gives Q_j^dag = R[:, 1:], which is upper Hessenberg.  Its entries above
+    the first superdiagonal are therefore rounding noise (below 1e-15 at
+    N <= 10), still written out as floats rather than as zeros.
     """
     n = kraus.n
     j = np.arange(n)

@@ -28,13 +28,15 @@ import json
 import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from .errors import InputFormatError
 from .oscillator import HermitianMatrix
-from .stochastic import Distribution, IndivisibleProcess, TransitionMatrix
+
+if TYPE_CHECKING:
+    from .stochastic import IndivisibleProcess
 
 FLOAT_FORMAT = "%.17g"
 
@@ -318,13 +320,16 @@ def _expect_number(value: Any, field: str) -> float:
     return number
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _check_numbers(row: list, field: str) -> None:
     """InputFormatError naming ``field[j]`` for the first non-number in ``row``.
 
     The type test runs at C speed; only a row that fails it is walked for the
     offending entry.  ``type(True) is bool``, so booleans fail it too.
     """
-    if not frozenset((int, float)).issuperset(map(type, row)):
+    if not _NUMBER_TYPES.issuperset(map(type, row)):
         for j, v in enumerate(row):
             _expect_number(v, f"{field}[{j}]")
 
@@ -406,6 +411,8 @@ def parse_vector(obj: Any, field: str, n: int | None = None) -> np.ndarray:
 
 def parse_process(obj: Any, field: str = "<root>") -> IndivisibleProcess:
     """Process file: n, targets, conditioning, transitions, initial."""
+    from .stochastic import Distribution, IndivisibleProcess, TransitionMatrix
+
     if not isinstance(obj, dict):
         raise InputFormatError(field, "expected an object")
     for key in ("n", "targets", "conditioning", "transitions", "initial"):

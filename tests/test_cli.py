@@ -334,7 +334,7 @@ def test_divisibility_indeterminate_exits_2(tmp_path, qubit_file, monkeypatch):
     def always_indeterminate(gamma_t, gamma_tp, **kwargs):
         return stoch.DivisibilityVerdict("indeterminate",
                                          certificate="forced for the test")
-    monkeypatch.setattr(cli.stoch, "divisibility_check", always_indeterminate)
+    monkeypatch.setattr(stoch, "divisibility_check", always_indeterminate)
     code = run(["divisibility", "--input", qubit_file,
                 "--output", tmp_path / "div.json"])
     assert code == 2
@@ -1021,6 +1021,44 @@ def test_every_report_is_framed(tmp_path, qubit_file, command):
                 *flags]) == 0
     report = json.loads(out.read_text())
     assert (report["schema"], report["command"], report["seed"]) == (1, command, 7)
+
+
+# What a fresh process has loaded of the package: the parser needs these, and
+# each subcommand adds only the modules it runs (correspondence needs
+# stochastic, which needs lp).
+PARSER_MODULES = {"indivisible", "indivisible.cli", "indivisible.errors",
+                  "indivisible.oscillator", "indivisible.serialize"}
+TRANSITION_MODULES = {"indivisible.stochastic", "indivisible.lp"}
+CORRESPONDENCE_MODULES = {"indivisible.correspondence", *TRANSITION_MODULES}
+COMMAND_MODULES = {
+    "embed": {"indivisible.embed"},
+    "sh-sim": set(),
+    "divisibility": TRANSITION_MODULES,
+    "correspond": CORRESPONDENCE_MODULES,
+    "unistochastic": CORRESPONDENCE_MODULES,
+    "dilate": CORRESPONDENCE_MODULES,
+    "extract-hamiltonian": CORRESPONDENCE_MODULES,
+}
+PRINT_LOADED = ("import json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+                " if m.partition('.')[0] == 'indivisible')))\n")
+
+
+def test_importing_the_cli_loads_only_what_the_parser_needs(fresh_python):
+    out = fresh_python("import indivisible, indivisible.cli\n" + PRINT_LOADED)
+    assert set(json.loads(out)) == PARSER_MODULES
+
+
+@pytest.mark.parametrize("command", sorted(FRAMING_CASES))
+def test_each_subcommand_loads_only_its_own_modules(tmp_path, qubit_file,
+                                                    fresh_python, command):
+    payload, flags = FRAMING_CASES[command]
+    inp = qubit_file if payload is None else write(tmp_path / "in.json", payload)
+    argv = [command, "--input", inp, "--output", str(tmp_path / "out.json"),
+            *flags]
+    out = fresh_python("from indivisible import cli\n"
+                       f"assert cli.main({argv!r}) == 0\n" + PRINT_LOADED)
+    loaded = set(json.loads(out.splitlines()[-1]))  # after the status line
+    assert loaded == PARSER_MODULES | COMMAND_MODULES[command]
 
 
 def test_main_does_not_build_a_parser(tmp_path, qubit_file, monkeypatch):

@@ -485,6 +485,21 @@ def test_dilation_is_unitary_and_reproduces_gamma():
                                    atol=1e-10)
 
 
+def test_dilation_blocks_are_lower_hessenberg_up_to_rounding():
+    """Q_j^dag = R[:, 1:] for the QR of [K_j |j> | 1], so each block Q_j is
+    zero above its first superdiagonal in exact arithmetic; what the dilation
+    holds there is rounding noise."""
+    for gamma, phases in DILATE_CASES:
+        n = gamma.shape[0]
+        theta = potential_from_transition(
+            TransitionMatrix(gamma), np.zeros((n, n)) if phases is None else phases)
+        blocks = stinespring_dilate(kraus_from_potential(theta)).matrix.reshape(
+            n, n, n, n)
+        for j in range(n):
+            q = blocks[:, j, j, :]  # rows i*N + j, columns j*N + k
+            assert np.max(np.abs(np.triu(q, 2)), initial=0.0) <= 1e-14, (n, j)
+
+
 def test_dilation_marginal_matches_the_reference_bitwise():
     rng = np.random.default_rng(13)
     for n in range(1, 13):
