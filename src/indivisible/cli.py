@@ -20,12 +20,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import oscillator as osc
 from . import serialize as ser
 from .errors import (MAX_GRID_STEPS, InputFormatError, IntegrationError,
                      ValidationError)
 
 if TYPE_CHECKING:
+    from . import oscillator as osc
     from . import stochastic as stoch
 
 SCHEMA_VERSION = 1
@@ -153,6 +153,8 @@ def _cmd_embed(args) -> int:
 
 
 def _parse_state_vector(obj, field: str, n: int) -> osc.StateVector:
+    from . import oscillator as osc
+
     if not isinstance(obj, dict):
         raise InputFormatError(field, "expected an object with re/im lists")
     re = ser.parse_vector(obj.get("re"), f"{field}.re", n)
@@ -161,6 +163,8 @@ def _parse_state_vector(obj, field: str, n: int) -> osc.StateVector:
 
 
 def _cmd_sh_sim(args) -> int:
+    from . import oscillator as osc
+
     _require_grid(args)
     _require_positive("--stride", args.stride)
     payload = ser.load_json(args.input)
@@ -426,7 +430,7 @@ def _cmd_extract_hamiltonian(args) -> int:
         "hamiltonian": ser.complex_matrix_payload(recovered.matrix),
         "anti_hermitian_residual": anti_dev,
         "max_error_vs_input": error,
-        "tolerances": {"hermiticity": osc.HERMITICITY_TOL},
+        "tolerances": {"hermiticity": corr.HERMITICITY_TOL},
     })
     _status_line(f"extract-hamiltonian: max error {error:.3e}")
     return 0
@@ -462,7 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--dt", type=float, default=1e-4)
     p.add_argument("--T", "--duration", dest="duration", type=float, default=10.0)
-    p.add_argument("--method", choices=osc.SH_METHODS, default="strang")
+    # oscillator.SH_METHODS, written out so that the parser loads no
+    # oscillator; a test keeps the two equal.
+    p.add_argument("--method", choices=("strang", "rk4"), default="strang")
     p.add_argument("--stride", type=int, default=100)
     p.add_argument("--csv", default=None, help="trajectory CSV path")
     p.set_defaults(handler=_cmd_sh_sim)
@@ -508,9 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
 # namespace per call and _apply_config writes to that namespace alone, so
 # every main() call in a process can share it.  Building it reads no
 # constant of a subcommand's own modules: each handler imports those
-# (stochastic, correspondence, embed) when it runs, so a process loads only
-# what its subcommands use.
+# (oscillator, stochastic, correspondence, embed) when it runs, so a process
+# loads only what its subcommands use.
 _PARSER = build_parser()
+# The subcommand parsers by name (argparse keeps them on its private
+# _SubParsersAction).
+_SUBPARSERS = next(a for a in _PARSER._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
 
 _CONFIG_ALIASES = {"T": "duration"}
 
@@ -534,15 +544,13 @@ def _config_value(action: argparse.Action, value, field: str):
     return converted
 
 
-def _apply_config(parser: argparse.ArgumentParser, args) -> None:
+def _apply_config(args) -> None:
     if args.config is None:
         return
     overrides = ser.load_json(args.config)
     if not isinstance(overrides, dict):
         raise InputFormatError("<config>", "config must be a JSON object")
-    subs = next(a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in subs.choices[args.subcommand]._actions}
+    flags = {a.dest: a for a in _SUBPARSERS[args.subcommand]._actions}
     for key, value in overrides.items():
         attr = _CONFIG_ALIASES.get(key, key.replace("-", "_"))
         if attr not in flags or attr in ("help", "config"):
@@ -551,10 +559,31 @@ def _apply_config(parser: argparse.ArgumentParser, args) -> None:
                 _config_value(flags[attr], value, f"<config>.{key}"))
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, taking the named subcommand's parser
+    directly when argv starts with a subcommand and that parser leaves no
+    argument over: the namespace is the same, and the whole parser's own
+    pass over argv is skipped.
+
+    Every other argv (none, -h, an unknown subcommand, leftover arguments)
+    goes through the whole parser, so help, usage errors and exit codes are
+    its own; an error inside the subcommand's arguments is raised by that
+    parser on either route.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(
+            argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if not rest:
+            return args
+    return _PARSER.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(argv)
     try:
-        _apply_config(_PARSER, args)
+        _apply_config(args)
         if args.seed < 0:  # every report carries it; the RNGs refuse it
             raise InputFormatError("--seed", f"must be at least 0, got {args.seed}")
         return args.handler(args)

@@ -439,29 +439,52 @@ def stinespring_dilate(kraus: KrausSet) -> UnitaryMatrix:
     V|j> = sum_beta (K_beta |j>) x |beta> = (K_j |j>) x |j> fills column j*N
     (ancilla at its reference state 0), because K_beta is supported on column
     beta only.  So U is N blocks: columns j*N .. j*N + N-1 map into rows
-    j, j+N, ..., as the unitary Q_j whose first column is K_j |j>, a unit
-    vector by completeness.  Every K_j |j> is read from the Kraus stack at
-    once, as row j of ``operators[j, :, j]``.  Q_j comes from the QR
-    factorization of [K_j |j> | 1], its first column replaced by K_j |j>
-    itself (the two differ by the phase of R[0, 0]).  U is unitary to
-    machine precision, deterministic, and has at most N^3 nonzero entries.
+    j, j+N, ..., as the unitary Q_j whose first column is a = K_j |j>, a unit
+    vector by completeness.  Every a is read from the Kraus stack at once, as
+    row j of ``operators[j, :, j]``.
 
-    Each Q_j is lower Hessenberg in exact arithmetic: [K_j |j> | 1] = Q_j R
-    gives Q_j^dag = R[:, 1:], which is upper Hessenberg.  Its entries above
-    the first superdiagonal are therefore rounding noise (below 1e-15 at
-    N <= 10), still written out as floats rather than as zeros.
+    Q_j is completed in closed form from the tail norms
+    s_k = ||(a_k, ..., a_{N-1})||, accumulated with hypot from the bottom up
+    (no square underflows).  For k >= 1, column k of Q_j holds s_k / s_{k-1}
+    at row k-1 and -conj(a_{k-1}) / s_{k-1} * a_i / s_k at rows i >= k: a
+    unit vector orthogonal to a and to the columns before it.  Where s_k = 0
+    the tail of a is exactly zero and column k is e_k.  So Q_j is lower
+    Hessenberg with exact zeros above its first superdiagonal, and U has at
+    most N^3 nonzero entries.
+
+    U^dag U is the block diagonal of the Q_j^dag Q_j, with exact zeros
+    elsewhere, so max |Q_j^dag Q_j - 1| over the blocks is U's unitarity
+    defect, refused above UNITARITY_TOL as UnitaryMatrix refuses it; U is
+    wrapped without a second N^2 x N^2 product.
     """
     n = kraus.n
     j = np.arange(n)
-    cols = kraus.operators[j, :, j]
-    a = np.concatenate([cols[:, :, None],
-                        np.broadcast_to(np.eye(n), (n, n, n))], axis=2)
-    q = np.linalg.qr(a)[0]
-    q[:, :, 0] = cols
+    a = kraus.operators[j, :, j]
+    tails = np.hypot.accumulate(np.hypot(a.real, a.imag)[:, ::-1], axis=1)[:, ::-1]
+    live = tails > 0.0
+    safe = np.where(live, tails, 1.0)  # a zero tail divides nothing but zeros
+    # q[j, i, k] is row i of Q_j, column k; rows i >= k of column k >= 1
+    below = np.tri(n, n - 1, -1, dtype=bool)
+    lead = -a[:, :-1].conj() / safe[:, :-1]
+    unit = np.where(below, a[:, :, None], 0.0) / safe[:, None, 1:]
+    q = np.zeros((n, n, n), dtype=complex)
+    q[:, :, 0] = a
+    q[:, :, 1:] = np.where(below & live[:, None, 1:], lead[:, None, :] * unit, 0.0)
+    q[:, j[:-1], j[1:]] = tails[:, 1:] / safe[:, :-1]
+    blocks, dead = np.nonzero(~live[:, 1:])  # column dead + 1 is e_{dead + 1}
+    q[blocks, dead + 1, dead + 1] = 1.0
+    dev = float(np.max(np.abs(q.conj().swapaxes(1, 2) @ q - np.eye(n))))
+    if not dev <= UNITARITY_TOL:
+        raise ValidationError(
+            f"matrix is not unitary: max |U^dag U - 1| = {dev:.3e}",
+            deviation=dev)
     # u[i, beta, j, k] is row i*N + beta, column j*N + k; block j has beta = j
     u = np.zeros((n, n, n, n), dtype=complex)
     u[:, j, j, :] = q.transpose(1, 0, 2)
-    return UnitaryMatrix(u.reshape(n * n, n * n))
+    dilation = object.__new__(UnitaryMatrix)  # gated above
+    freeze(dilation, matrix=u.reshape(n * n, n * n), t=1.0, t0=0.0,
+           deviation=dev)
+    return dilation
 
 
 def dilation_marginal(u: UnitaryMatrix | np.ndarray, n: int) -> np.ndarray:

@@ -12,11 +12,12 @@ Floats are formatted in bulk, with the bytes of formatting each float on its
 own.  A finite, non-empty 1-D or 2-D float64 array in a report is one ``%``
 against a template for the whole array: each exact zero is the literal ``0``
 (``-0`` when its sign bit is set) and every other entry a ``%.17g`` field.
-Rows that share a zero pattern share their template text, which is joined
-once per pattern: a dilation's N^2 rows follow about N patterns.  A CSV body
-of fewer than ``CSV_KERNEL_MIN_VALUES`` values is one ``%`` as well; a larger
-one is written by ``_csv_fields``, which finds the 17 digits of each value
-with exact float64 arithmetic and assembles the text in numpy arrays.
+The template of an array that holds zeros is built from one 2-byte token
+per entry, its placeholders then expanded, not row by row: the exact zeros
+of a dilation give each of its N^2 rows a zero pattern of its own.  A CSV
+body of fewer than ``CSV_KERNEL_MIN_VALUES`` values is one ``%`` as well; a
+larger one is written by ``_csv_fields``, which finds the 17 digits of each
+value with exact float64 arithmetic and assembles the text in numpy arrays.
 
 Parsing raises InputFormatError with the dotted path of the offending field,
 so callers can report exactly what is wrong with a file.
@@ -33,9 +34,9 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from .errors import InputFormatError
-from .oscillator import HermitianMatrix
 
 if TYPE_CHECKING:
+    from .oscillator import HermitianMatrix
     from .stochastic import IndivisibleProcess
 
 FLOAT_FORMAT = "%.17g"
@@ -96,6 +97,11 @@ def _write(obj: Any, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+# The template token of one array entry, 2 bytes: "F" for a field, "0" for
+# 0.0 or "M" for -0.0, then "," or, at the end of a row, ";".
+_TOKENS = np.array([b"F,", b"0,", b"M,", b"F;", b"0;", b"M;"], "S2")
+
+
 def _array_text(arr: np.ndarray) -> str:
     """JSON text of a finite, non-empty 1-D or 2-D float64 array, one ``%``.
 
@@ -105,16 +111,12 @@ def _array_text(arr: np.ndarray) -> str:
     rows = arr.reshape(-1, arr.shape[-1])
     zero = rows == 0.0
     if zero.any():
-        # One byte per entry, 0: a field, 1: "0", 2: "-0" (a zero's 1 shifted
-        # by its sign bit); a row's bytes key its text, joined once per key.
-        pick = zero.view(np.uint8) << np.signbit(rows)
-        raw, width = pick.tobytes(), rows.shape[1]
-        keys = [raw[i:i + width] for i in range(0, len(raw), width)]
-        texts = dict.fromkeys(keys)
-        codes = np.frombuffer(b"".join(texts), np.uint8).reshape(-1, width)
-        fields = np.array([FLOAT_FORMAT, "0", "-0"], dtype=object)[codes]
-        texts = dict(zip(texts, map(",".join, fields.tolist())))
-        body = "],[".join(map(texts.__getitem__, keys))
+        # 0 a field, 1 a zero, 2 a negative zero (a zero's 1 shifted by its
+        # sign bit), plus 3 at the end of a row: indices into _TOKENS.
+        codes = zero.view(np.uint8) << np.signbit(rows)
+        codes[:, -1] += 3
+        body = (_TOKENS.take(codes).tobytes()[:-1].replace(b"F", b"%.17g")
+                .replace(b"M", b"-0").replace(b";", b"],[").decode())
         values = rows[~zero].tolist()
     else:
         body = "],[".join([",".join([FLOAT_FORMAT] * rows.shape[1])] * len(rows))
@@ -390,6 +392,8 @@ def parse_complex_matrix(obj: Any, field: str, n: int | None = None) -> np.ndarr
 
 def parse_hermitian(obj: Any, field: str = "<root>") -> HermitianMatrix:
     """{"n": N, "re": [[...]], "im": [[...]]} -> validated HermitianMatrix."""
+    from .oscillator import HermitianMatrix
+
     if not isinstance(obj, dict):
         raise InputFormatError(field, "expected an object")
     if "n" not in obj:

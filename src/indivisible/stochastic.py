@@ -360,15 +360,23 @@ def _lp_verdict(gamma_t: TransitionMatrix,
                 f"{result.infeasibility:.6e} at relaxation {LP_RELAXATION:.0e}"),
             residual=result.infeasibility)
 
+    # Defensive: a "feasible" point that cannot be renormalized, or whose
+    # renormalization misses the witness tolerance (NaN included), is no
+    # witness; the verdict names the fault and keeps the phase-1 residual.
     m = result.x.reshape(n, n)
-    m = m / m.sum(axis=0, keepdims=True)
-    residual = float(np.max(np.abs(m @ gp - gt)))
-    if residual > WITNESS_RESIDUAL_TOL:
-        # Defensive: the LP accepted a point the witness tolerance rejects.
-        return DivisibilityVerdict(
-            "indeterminate", certificate=(
-                f"feasible LP point renormalized to residual {residual:.3e}, "
-                f"worse than the witness tolerance {WITNESS_RESIDUAL_TOL:.0e}"),
-            residual=residual)
-    witness = TransitionMatrix(m, t=gamma_t.t, t0=gamma_tp.t)
-    return DivisibilityVerdict("divisible", witness=witness, residual=residual)
+    sums = m.sum(axis=0)
+    if not (sums > 0.0).all():
+        j = int(np.flatnonzero(~(sums > 0.0))[0])
+        fault = (f"feasible LP point has column {j} summing to {sums[j]:.3e}, "
+                 "which cannot be renormalized")
+    else:
+        m = m / sums
+        residual = float(np.max(np.abs(m @ gp - gt)))
+        if residual <= WITNESS_RESIDUAL_TOL:
+            witness = TransitionMatrix(m, t=gamma_t.t, t0=gamma_tp.t)
+            return DivisibilityVerdict("divisible", witness=witness,
+                                       residual=residual)
+        fault = (f"feasible LP point renormalized to residual {residual:.3e}, "
+                 f"worse than the witness tolerance {WITNESS_RESIDUAL_TOL:.0e}")
+    return DivisibilityVerdict("indeterminate", certificate=fault + "; no verdict",
+                               residual=result.infeasibility)

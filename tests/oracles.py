@@ -5,10 +5,10 @@ closed-form cases, or a second implementation from a different library.
 None of it imports the code under test beyond plain numpy arrays, except
 ``reference_direct_verdict``, ``reference_transition_matrix``, the 2N x 2N
 real step builders ``reference_strang_step_matrix`` and
-``reference_rk4_step_matrix``, ``reference_sh_energy``, and the tuple-form
-``ReferenceKrausSet``, ``reference_kraus_from_potential`` and
-``reference_stinespring_dilate``: earlier versions of the code kept as they
-were.
+``reference_rk4_step_matrix``, ``reference_sh_energy``, the tuple-form
+``ReferenceKrausSet`` and ``reference_kraus_from_potential``, and the
+pattern-keyed ``reference_array_text``: earlier versions of the code kept as
+they were.
 """
 
 import json
@@ -307,19 +307,37 @@ def reference_kraus_from_potential(theta: np.ndarray) -> ReferenceKrausSet:
 
 
 def reference_stinespring_dilate(kraus: ReferenceKrausSet) -> np.ndarray:
-    """The N^2 x N^2 dilation, its K_j |j> gathered one operator at a time:
-    block j is the Q of [K_j |j> | 1] with K_j |j> as its first column."""
+    """The N^2 x N^2 dilation, one block and one column at a time: block j is
+    the closed-form completion of a = K_j |j>, placed at rows i*N + j and
+    columns j*N .. j*N + N-1.
+
+    tails[k] = ||(a_k, ..., a_{N-1})||, by hypot from the bottom up.  Column
+    k >= 1 is s_k / s_{k-1} at row k-1 and -conj(a_{k-1}) / s_{k-1} * a_i / s_k
+    at rows i >= k, or e_k when the tail from k is zero.
+    """
     n = kraus.n
-    cols = np.stack([k[:, j] for j, k in enumerate(kraus.operators)])
-    a = np.concatenate([cols[:, :, None],
-                        np.broadcast_to(np.eye(n), (n, n, n))], axis=2)
-    q = np.linalg.qr(a)[0]
-    q[:, :, 0] = cols
-    # u[i, beta, j, k] is row i*N + beta, column j*N + k; block j has beta = j
-    u = np.zeros((n, n, n, n), dtype=complex)
-    j = np.arange(n)
-    u[:, j, j, :] = q.transpose(1, 0, 2)
-    return u.reshape(n * n, n * n)
+    u = np.zeros((n * n, n * n), dtype=complex)
+    for j, k_op in enumerate(kraus.operators):
+        a = k_op[:, j]
+        tails = np.zeros(n + 1)
+        for i in reversed(range(n)):
+            tails[i] = np.hypot(tails[i + 1], np.hypot(a[i].real, a[i].imag))
+        q = np.zeros((n, n), dtype=complex)
+        q[:, 0] = a
+        for k in range(1, n):
+            if tails[k] == 0.0:
+                q[k, k] = 1.0
+                continue
+            q[k - 1, k] = tails[k] / tails[k - 1]
+            q[k:, k] = -np.conj(a[k - 1:k]) / tails[k - 1] * (a[k:] / tails[k])
+        u[j::n, j * n:(j + 1) * n] = q
+    return u
+
+
+def reference_block_deviation(u: np.ndarray, n: int) -> float:
+    """max |Q_j^dag Q_j - 1| over the N blocks of a dilation, one at a time."""
+    return max(reference_completeness_deviation(u[j::n, j * n:(j + 1) * n])
+               for j in range(n))
 
 
 def reference_orthostochastic(gamma: np.ndarray) -> np.ndarray | None:
@@ -478,6 +496,30 @@ def _reference_write(obj, out: list) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_array_text(arr: np.ndarray) -> str:
+    """JSON text of a finite, non-empty 1-D or 2-D float64 array, one ``%``,
+    its template joined once per zero pattern of its rows."""
+    rows = arr.reshape(-1, arr.shape[-1])
+    zero = rows == 0.0
+    if zero.any():
+        # One byte per entry, 0: a field, 1: "0", 2: "-0" (a zero's 1 shifted
+        # by its sign bit); a row's bytes key its text, joined once per key.
+        pick = zero.view(np.uint8) << np.signbit(rows)
+        raw, width = pick.tobytes(), rows.shape[1]
+        keys = [raw[i:i + width] for i in range(0, len(raw), width)]
+        texts = dict.fromkeys(keys)
+        codes = np.frombuffer(b"".join(texts), np.uint8).reshape(-1, width)
+        fields = np.array(["%.17g", "0", "-0"], dtype=object)[codes]
+        texts = dict(zip(texts, map(",".join, fields.tolist())))
+        body = "],[".join(map(texts.__getitem__, keys))
+        values = rows[~zero].tolist()
+    else:
+        body = "],[".join([",".join(["%.17g"] * rows.shape[1])] * len(rows))
+        values = rows.ravel().tolist()
+    template = "[" + body + "]" if arr.ndim == 1 else "[[" + body + "]]"
+    return template % tuple(values)
 
 
 def reference_dumps(obj) -> str:

@@ -1,8 +1,10 @@
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from indivisible import cli
 from indivisible import correspondence as corr
+from indivisible import lp
 from indivisible import oscillator as osc
 from indivisible import serialize as ser
 from indivisible import stochastic as stoch
@@ -338,6 +341,29 @@ def test_divisibility_indeterminate_exits_2(tmp_path, qubit_file, monkeypatch):
     code = run(["divisibility", "--input", qubit_file,
                 "--output", tmp_path / "div.json"])
     assert code == 2
+
+
+def test_divisibility_broken_lp_point_exits_2(tmp_path, monkeypatch):
+    """A "feasible" LP point with a zero column gives an indeterminate
+    report and exit 2, not a refused witness (exit 1) or a warning."""
+    inp, _ = _singular_process(tmp_path)
+    point = np.full((4, 4), 0.25)
+    point[:, 2] = 0.0
+    broken = lp.FeasibilityResult("feasible", point.ravel(), 0.0, 3)
+    monkeypatch.setattr(stoch, "find_nonnegative_solution",
+                        lambda a_ub, b_ub: broken)
+    out = tmp_path / "div.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["divisibility", "--input", inp, "--output", out,
+                    "--t", "3.0", "--tp", "2.0"])
+    assert code == 2
+    report = json.loads(out.read_text())
+    assert (report["status"], report["witness"], report["residual"]) == (
+        "indeterminate", None, 0.0)
+    assert report["certificate"] == (
+        "feasible LP point has column 2 summing to 0.000e+00, which cannot be "
+        "renormalized; no verdict")
 
 
 def test_correspond_names_the_column_sum_gate(tmp_path, capsys):
@@ -1025,14 +1051,15 @@ def test_every_report_is_framed(tmp_path, qubit_file, command):
 
 # What a fresh process has loaded of the package: the parser needs these, and
 # each subcommand adds only the modules it runs (correspondence needs
-# stochastic, which needs lp).
+# oscillator and stochastic, which needs lp).
 PARSER_MODULES = {"indivisible", "indivisible.cli", "indivisible.errors",
-                  "indivisible.oscillator", "indivisible.serialize"}
+                  "indivisible.serialize"}
 TRANSITION_MODULES = {"indivisible.stochastic", "indivisible.lp"}
-CORRESPONDENCE_MODULES = {"indivisible.correspondence", *TRANSITION_MODULES}
+CORRESPONDENCE_MODULES = {"indivisible.correspondence", "indivisible.oscillator",
+                          *TRANSITION_MODULES}
 COMMAND_MODULES = {
     "embed": {"indivisible.embed"},
-    "sh-sim": set(),
+    "sh-sim": {"indivisible.oscillator"},
     "divisibility": TRANSITION_MODULES,
     "correspond": CORRESPONDENCE_MODULES,
     "unistochastic": CORRESPONDENCE_MODULES,
@@ -1059,6 +1086,81 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path, qubit_file,
                        f"assert cli.main({argv!r}) == 0\n" + PRINT_LOADED)
     loaded = set(json.loads(out.splitlines()[-1]))  # after the status line
     assert loaded == PARSER_MODULES | COMMAND_MODULES[command]
+
+
+PARSE_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus", "--input", "in.json"],
+    ["embed", "--input", "in.json", "--output", "out.json", "--T", "2",
+     "--dt", "1e-3", "--csv", "t.csv"],
+    ["embed", "--input", "in.json", "--out", "out.json", "--duration", "2"],
+    ["sh-sim", "--input", "h.json", "--output", "o.json", "--method", "rk4",
+     "--stride", "10", "--seed", "3"],
+    ["sh-sim", "--input", "h.json", "--output", "o.json", "--method", "euler"],
+    ["sh-sim", "--input", "h.json", "--output", "o.json", "--s", "3"],
+    ["divisibility", "--input", "p.json", "--output", "o.json", "--all-pairs",
+     "--jobs", "2", "--config", "c.json"],
+    ["divisibility", "--input", "p.json", "--output", "o.json", "--t", "2",
+     "--tp", "1", "--t0", "0"],
+    ["divisibility", "--input", "p.json", "--output", "o.json", "--t"],
+    ["correspond", "--input", "u.json", "--output", "o.json", "--t", "1.5"],
+    ["unistochastic", "--input", "g.json", "--output", "o.json",
+     "--max-iters", "10"],
+    ["unistochastic", "--input", "g.json", "--output", "o.json",
+     "--max-iters", "ten"],
+    ["dilate", "--input", "g.json", "--output", "o.json"],
+    ["dilate", "--input", "g.json", "--output", "o.json", "extra"],
+    ["dilate", "--input", "g.json", "--output", "o.json", "--bogus", "1"],
+    ["dilate", "--input", "g.json"],
+    ["dilate", "-h"],
+    ["extract-hamiltonian", "--input", "h.json", "--output", "o.json",
+     "--dt", "1e-5", "--t", "0.5"],
+    ["extract-hamiltonian", "--input", "h.json", "--output", "o.json", "--",
+     "--dt"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", range(len(PARSE_CASES)))
+def test_parse_takes_the_whole_parsers_namespace_and_errors(case, capsys):
+    """The direct route through a subcommand's parser gives what the whole
+    parser gives: the namespace, or the same output and SystemExit code."""
+    argv = PARSE_CASES[case]
+    want = _parse_outcome(cli._PARSER.parse_args, argv, capsys)
+    assert _parse_outcome(cli._parse_args, argv, capsys) == want
+
+
+def test_parse_takes_the_direct_route_when_nothing_is_left_over(monkeypatch):
+    def refuse(argv):
+        raise AssertionError("whole parser used")
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    args = cli._parse_args(["embed", "--input", "in.json", "--out", "o.json",
+                            "--T", "2"])
+    assert (args.subcommand, args.output, args.duration) == ("embed", "o.json", 2.0)
+    with pytest.raises(AssertionError, match="whole parser"):
+        cli._parse_args(["dilate", "--input", "g.json", "--output", "o", "extra"])
+
+
+def test_parse_reads_sys_argv_without_arguments(monkeypatch):
+    argv = ["dilate", "--input", "g.json", "--output", "o.json"]
+    monkeypatch.setattr(sys, "argv", ["indivisible", *argv])
+    assert cli._parse_args(None) == cli._PARSER.parse_args(argv)
+
+
+def test_sh_sim_method_choices_are_the_integrators_methods():
+    subs = next(a for a in cli._PARSER._actions
+                if isinstance(a, argparse._SubParsersAction))
+    method, = (a for a in subs.choices["sh-sim"]._actions if a.dest == "method")
+    assert tuple(method.choices) == osc.SH_METHODS
 
 
 def test_main_does_not_build_a_parser(tmp_path, qubit_file, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,13 +25,13 @@ from indivisible.correspondence import (
     stinespring_dilate,
     unistochastic_search,
 )
-from indivisible.errors import UnsupportedSizeError, ValidationError
+from indivisible.errors import UnsupportedSizeError, ValidationError, freeze
 from indivisible.stochastic import Distribution, TransitionMatrix
 from oracles import (ReferenceKrausSet, polygon_excess, random_orthogonal,
                      random_unitary, reference_completeness_deviation,
-                     reference_dumps, reference_kraus_from_potential,
-                     reference_marginal, reference_orthostochastic,
-                     reference_stinespring_dilate)
+                     reference_block_deviation, reference_dumps,
+                     reference_kraus_from_potential, reference_marginal,
+                     reference_orthostochastic, reference_stinespring_dilate)
 
 FIXTURE_3 = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 FLAT_2 = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -395,7 +396,9 @@ def test_dilate_matches_the_tuple_form_bitwise(case, tmp_path):
     assert kraus.deviation == ref_kraus.deviation
     assert kraus.operators.tobytes() == np.array(ref_kraus.operators).tobytes()
     ref_u = reference_stinespring_dilate(ref_kraus)
-    assert stinespring_dilate(kraus).matrix.tobytes() == ref_u.tobytes()
+    u = stinespring_dilate(kraus)
+    assert u.matrix.tobytes() == ref_u.tobytes()
+    assert u.deviation == reference_block_deviation(ref_u, n)
 
     payload = {"matrix": gamma.tolist()}
     if phases is not None:
@@ -410,7 +413,7 @@ def test_dilate_matches_the_tuple_form_bitwise(case, tmp_path):
         "kraus_identity_residual": ref_kraus.deviation,
         "marginal_residual": float(np.max(np.abs(reference_marginal(ref_u, n)
                                                  - gamma))),
-        "unitarity_residual": reference_completeness_deviation(ref_u),
+        "unitarity_residual": reference_block_deviation(ref_u, n),
         "tolerances": {"kraus_identity": KRAUS_IDENTITY_TOL,
                        "unitarity": UNITARITY_TOL},
         "command": "dilate", "seed": 42, "schema": cli.SCHEMA_VERSION,
@@ -485,19 +488,97 @@ def test_dilation_is_unitary_and_reproduces_gamma():
                                    atol=1e-10)
 
 
-def test_dilation_blocks_are_lower_hessenberg_up_to_rounding():
-    """Q_j^dag = R[:, 1:] for the QR of [K_j |j> | 1], so each block Q_j is
-    zero above its first superdiagonal in exact arithmetic; what the dilation
-    holds there is rounding noise."""
+def _dilate_case(gamma, phases):
+    n = gamma.shape[0]
+    theta = potential_from_transition(
+        TransitionMatrix(gamma), np.zeros((n, n)) if phases is None else phases)
+    return stinespring_dilate(kraus_from_potential(theta))
+
+
+def test_dilation_blocks_are_lower_hessenberg_with_exact_zeros():
+    """Each block Q_j is zero above its first superdiagonal, and what the
+    dilation holds there is +0.0, in both parts."""
     for gamma, phases in DILATE_CASES:
         n = gamma.shape[0]
-        theta = potential_from_transition(
-            TransitionMatrix(gamma), np.zeros((n, n)) if phases is None else phases)
-        blocks = stinespring_dilate(kraus_from_potential(theta)).matrix.reshape(
-            n, n, n, n)
+        blocks = _dilate_case(gamma, phases).matrix.reshape(n, n, n, n)
+        above = np.triu(np.ones((n, n), dtype=bool), 2)
         for j in range(n):
             q = blocks[:, j, j, :]  # rows i*N + j, columns j*N + k
-            assert np.max(np.abs(np.triu(q, 2)), initial=0.0) <= 1e-14, (n, j)
+            for part in (q.real[above], q.imag[above]):
+                assert np.array_equal(part, np.zeros(part.shape)), (n, j)
+                assert not np.signbit(part).any(), (n, j)
+
+
+def test_dilation_block_residual_is_the_dense_defect():
+    """U^dag U is block diagonal with exact zeros elsewhere, so the per-block
+    defect that the dilation reports is the N^2 x N^2 one up to rounding."""
+    for gamma, phases in DILATE_CASES:
+        n = gamma.shape[0]
+        u = _dilate_case(gamma, phases)
+        dense = reference_completeness_deviation(u.matrix)
+        assert dense <= 1e-14, n
+        assert abs(dense - u.deviation) <= 1e-15, n
+
+
+def _degenerate_gammas():
+    tiny = np.array([[0.5, 1.0 - 1e-300, 0.0], [0.5, 1e-300, 0.0],
+                     [0.0, 0.0, 1.0]])
+    subnormal = np.array([[1.0, 0.0, 0.25], [1e-320, 1.0, 0.25],
+                          [1e-320, 0.0, 0.5]])
+    zero_tails = np.array([[1.0, 0.5, 0.2, 0.0], [0.0, 0.5, 0.3, 0.0],
+                           [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    return {"n=1": np.ones((1, 1)), "identity": np.eye(4),
+            "permutation": np.eye(5)[[3, 0, 4, 1, 2]],
+            "zero tails": zero_tails, "1e-300": tiny,
+            "subnormal": subnormal}
+
+
+@pytest.mark.parametrize("name", sorted(_degenerate_gammas()))
+def test_dilation_of_degenerate_gammas_is_exact_and_warning_free(name):
+    gamma = _degenerate_gammas()[name]
+    n = gamma.shape[0]
+    rng = np.random.default_rng(21)
+    for phases in (None, rng.uniform(0.0, 2.0 * np.pi, (n, n))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = _dilate_case(gamma, phases)
+        assert u.deviation <= 1e-15, name
+        assert reference_completeness_deviation(u.matrix) <= 1e-15, name
+        assert np.max(np.abs(dilation_marginal(u, n) - gamma)) <= 1e-15, name
+        ref = reference_stinespring_dilate(reference_kraus_from_potential(
+            potential_from_transition(TransitionMatrix(gamma), np.zeros((n, n))
+                                      if phases is None else phases).matrix))
+        assert u.matrix.tobytes() == ref.tobytes(), name
+
+
+def test_dilation_of_a_tail_whose_square_is_subnormal_stays_unitary():
+    """A tail entry near 1e-160 squares to a subnormal, which keeps a few
+    bits: tail norms taken from squares would leave column 1 of Q_0 off unit
+    length by about 1e-4, past UNITARITY_TOL.  Hypot keeps the tail exact."""
+    tail = 3.7e-161 + 2.9e-161j
+    ops = np.zeros((2, 2, 2), dtype=complex)
+    ops[0, :, 0] = [1.0, tail]
+    ops[1, :, 1] = [0.0, 1.0]
+    u = stinespring_dilate(KrausSet(ops))
+    assert u.deviation <= 1e-15
+    assert reference_completeness_deviation(u.matrix) <= 1e-15
+    # row 1*N + 0, column 0*N + 1: -conj(a_0) / s_0 * a_1 / s_1
+    assert abs(u.matrix[2, 1] + tail / abs(tail)) <= 1e-15
+
+
+def test_dilation_refuses_a_block_that_is_not_unitary():
+    """The per-block gate refuses with UnitaryMatrix's message: a Kraus
+    stack let past its own gate, column 0 scaled by 1.1."""
+    ops = np.zeros((2, 2, 2), dtype=complex)
+    ops[0, :, 0] = [1.1, 0.0]
+    ops[1, :, 1] = [0.6, 0.8]
+    kraus = object.__new__(KrausSet)
+    freeze(kraus, operators=ops, deviation=0.21)
+    with pytest.raises(ValidationError) as err:
+        stinespring_dilate(kraus)
+    dev = err.value.details["deviation"]
+    assert dev == pytest.approx(0.21, abs=1e-15)
+    assert str(err.value) == f"matrix is not unitary: max |U^dag U - 1| = {dev:.3e}"
 
 
 def test_dilation_marginal_matches_the_reference_bitwise():

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from indivisible.errors import InputFormatError
 from indivisible.serialize import (
+    _array_text,
     CSV_CHUNK_VALUES,
     CSV_KERNEL_MIN_VALUES,
     canonical_dumps,
@@ -24,7 +25,7 @@ from indivisible.serialize import (
     write_json,
 )
 
-from oracles import reference_csv, reference_dumps
+from oracles import reference_array_text, reference_csv, reference_dumps
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -304,6 +305,14 @@ def test_canonical_dumps_rows_sharing_a_pattern_match_reference(arr, other):
     for view in (arr, arr[0], arr[:, 0], z.real, z.imag, z.imag[-1], flipped,
                  arr.T):
         _assert_dumps_as_reference(view)
+
+
+@given(hnp.arrays(np.float64, SHAPES, elements=ZEROED) | _patterned())
+def test_array_text_matches_the_pattern_keyed_reference(arr):
+    """The token-built template against the one joined per row pattern, on
+    arrays with +0, -0, subnormal and huge entries."""
+    for view in (arr, arr.reshape(-1, arr.shape[-1])[0]):
+        assert _array_text(view) == reference_array_text(view)
 
 
 @given(hnp.arrays(np.float64, SHAPES, elements=ZEROED), NON_FINITE,

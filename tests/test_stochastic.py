@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -433,6 +434,44 @@ def count_lp_calls(monkeypatch, answer=None) -> list:
 
     monkeypatch.setattr(stochastic, "find_nonnegative_solution", counted)
     return calls
+
+
+def _lp_only_pair():
+    """(Gamma(t), Gamma(t')) with Gamma(t') singular, so the LP decides."""
+    rng = np.random.default_rng(4)
+    g1 = random_column_stochastic(3, rng)
+    g1[:, 1] = g1[:, 0]
+    g2 = random_column_stochastic(3, rng) @ g1
+    return (TransitionMatrix(g2, t=2.0, t0=0.0), TransitionMatrix(g1, t=1.0, t0=0.0))
+
+
+BROKEN_POINTS = {
+    "zero column": (np.array([[0.5, 0.0, 0.2], [0.25, 0.0, 0.3], [0.25, 0.0, 0.5]]),
+                    "feasible LP point has column 1 summing to 0.000e+00, which "
+                    "cannot be renormalized; no verdict"),
+    "nan column": (np.array([[0.5, np.nan, 0.2], [0.25, 0.0, 0.3], [0.25, 0.0, 0.5]]),
+                   "feasible LP point has column 1 summing to nan, which cannot "
+                   "be renormalized; no verdict"),
+    "far point": (np.eye(3), "feasible LP point renormalized to residual "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_POINTS))
+def test_a_broken_feasible_point_is_indeterminate(monkeypatch, name):
+    """A "feasible" LP point that renormalizes to no witness (a zero or NaN
+    column, or a residual above the witness tolerance) is reported as
+    indeterminate with the fault, without a warning from a 0/0."""
+    point, certificate = BROKEN_POINTS[name]
+    count_lp_calls(monkeypatch, lp.FeasibilityResult("feasible", point.ravel(),
+                                                     2.5e-12, 7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = divisibility_check(*_lp_only_pair())
+    assert verdict.status == "indeterminate"
+    assert verdict.witness is None
+    assert verdict.residual == 2.5e-12  # the phase-1 infeasibility
+    assert verdict.certificate.startswith(certificate)
+    assert verdict.certificate.endswith("; no verdict")
 
 
 def test_direct_route_agrees_with_the_lp(monkeypatch):
